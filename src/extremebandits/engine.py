@@ -7,7 +7,8 @@ policy stream. Every execution path below (sequential reference, vectorized
 kernels, streaming evaluator) reads the same counter addresses, so they all
 produce bit-identical trajectories and the worker count cannot change any
 number. Monte Carlo reductions always run over fixed 64-trial chunks in
-trial order for the same reason.
+trial order for the same reason. The epsilon-greedy kernel steps from
+record to record rather than one time step at a time.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import Distribution, expected_min, log_survival_at, _check_horizon
-from .errors import BudgetExceeded, ContinuousArm
+from .errors import BudgetExceeded, ConfigInvalid, ContinuousArm
 from .policies import (
     EpsGreedyMinPolicy,
     Policy,
@@ -39,13 +40,22 @@ def worker_count(workers: int | None = None) -> int:
     if workers is not None:
         return max(1, int(workers))
     env = os.environ.get(WORKERS_ENV, "")
-    return max(1, int(env)) if env else 1
+    if not env:
+        return 1
+    try:
+        return max(1, int(env))
+    except ValueError:
+        raise ConfigInvalid(f"{WORKERS_ENV} must be an integer, got {env!r}", schema_path="workers") from None
 
 
 def parallel_map(fn, jobs: list, workers: int | None = None) -> list:
-    """Order-preserving map, fanned out over processes when workers > 1."""
-    w = worker_count(workers)
-    if w <= 1 or len(jobs) <= 1:
+    """Order-preserving map, fanned out over processes when workers > 1.
+
+    The pool never exceeds the jobs or the CPUs: with the fork start method
+    every worker starts at the first submit.
+    """
+    w = min(worker_count(workers), len(jobs), os.cpu_count() or 1)
+    if w <= 1:
         return [fn(job) for job in jobs]
     with ProcessPoolExecutor(max_workers=w) as pool:
         return list(pool.map(fn, jobs, chunksize=max(1, len(jobs) // (4 * w))))
@@ -162,29 +172,110 @@ class _RandomKernel(_KernelBase):
 
 
 class _EpsGreedyKernel(_KernelBase):
+    """Epsilon-greedy, stepped from record to record.
+
+    The greedy arm changes only when some arm's best-so-far strictly
+    improves (a record). Between records every step's arm is known ahead:
+    the explored arm on an explore coin, the greedy arm otherwise. So one
+    round finds the next record of every row still active in the block by
+    comparing each cell's uniform with the improvement threshold of its arm;
+    the arms of the block are then filled forward from the greedy changes
+    and each value is drawn once from its chosen arm. Bit-identical to
+    stepping one column at a time: the same uniforms, the same inverse CDF,
+    the lowest-index argmin and the same explored-arm truncation.
+    """
+
     def __init__(self, policy, arms, seed, trials):
         super().__init__(policy, arms, seed, trials)
+        self.code = np.min_scalar_type(-self.K)  # smallest signed type for arm changes
         self.bests = np.full((self.n, self.K), math.inf)
-        self.rows = np.arange(self.n)
+        self.greedy = np.zeros(self.n, dtype=self.code)
+        # floors[j] is the largest u whose inverse CDF falls below atom j.
+        self.floors = [None if c is None else np.concatenate(([-1.0], c[1])) for c in self.caches]
+        self.thr = np.column_stack([self._threshold(k, self.bests[:, k]) for k in range(self.K)])
+
+    def _threshold(self, k, best):
+        """Largest u with icdf_k(u) < best, so a draw improves iff u <= it."""
+        if self.caches[k] is None:
+            return np.nextafter(best, -math.inf)
+        return self.floors[k][np.searchsorted(self.caches[k][0], best, side="left")]
 
     def next_block(self, bt):
-        eps = self.policy.epsilon
         u = self.arm_streams.next_block(bt)
-        vk = np.stack([_icdf_block(self.caches[k], u) for k in range(self.K)])
-        if eps > 0.0:
-            p = self.pol_block(bt)
-            explore = p < eps
-            explore_arm = np.minimum((p / eps * self.K).astype(np.int64), self.K - 1)
+        explore = explore_arm = None
+        if self.policy.epsilon > 0.0:
+            explore, explore_arm = self._coins(bt)
         self.t0 += bt
-        v = np.empty_like(u)
-        for c in range(bt):
-            arm = np.argmin(self.bests, axis=1)
-            if eps > 0.0:
-                np.copyto(arm, explore_arm[:, c], where=explore[:, c])
-            vals = vk[arm, self.rows, c]
-            v[:, c] = vals
-            np.minimum.at(self.bests, (self.rows, arm), vals)
+        arm = self._greedy_arms(u, explore, explore_arm)
+        if explore is not None:
+            np.copyto(arm, explore_arm, where=explore)
+        # Draw every cell from the most common greedy arm, then redraw the
+        # cells of the other arms: one full inverse CDF instead of K. v may
+        # be u itself; each cell is read before it is overwritten.
+        base = int(np.argmax(np.bincount(self.greedy, minlength=self.K)))
+        v = _icdf_block(self.caches[base], u)
+        for k in range(self.K):
+            if k != base:
+                mask = arm == k
+                v[mask] = _icdf_block(self.caches[k], u[mask])
         return v
+
+    def _coins(self, bt):
+        """Explore flags and explored arms (0-based) of the next policy block."""
+        eps, K = self.policy.epsilon, self.K
+        p = self.pol_block(bt)
+        explore = p < eps
+        # min(int(p / eps * K), K - 1), clamped before the cast so the
+        # small-int conversion never sees an out-of-range value.
+        p /= eps
+        p *= K
+        np.minimum(p, K - 1, out=p)
+        return explore, p.astype(self.code)
+
+    def _greedy_arms(self, u, explore, explore_arm):
+        """Step through the block's records, updating bests, thr and greedy,
+        and return the greedy arm in force at every cell."""
+        n, bt = u.shape
+        start = self.greedy.copy()
+        turns = np.zeros((n, bt), dtype=self.code)  # greedy arm change taking effect at a cell
+        cols = np.arange(bt)
+        rows = np.arange(n)
+        pos = np.zeros(n, dtype=np.intp)  # first column not yet stepped
+        while rows.size:  # one round per record of the busiest row
+            lo = int(pos.min())
+            g = self.greedy[rows]
+            sub = slice(None) if rows.size == n else rows  # views, not copies
+            uu = u[sub, lo:]
+            if explore is None:
+                hit = uu <= self.thr[rows, g][:, None]
+            else:
+                played = np.where(explore[sub, lo:], explore_arm[sub, lo:], g[:, None])
+                hit = np.zeros(uu.shape, dtype=bool)
+                for k in range(self.K):
+                    hit |= (played == k) & (uu <= self.thr[rows, k][:, None])
+            if pos.max() > lo:
+                hit &= cols[lo:] >= pos[:, None]
+            first = hit.argmax(axis=1)
+            found = np.nonzero(hit[np.arange(rows.size), first])[0]
+            first = first[found]
+            a = g[found] if explore is None else played[found, first]
+            rows, c = rows[found], lo + first
+            for k in range(self.K):
+                r, ck = rows[a == k], c[a == k]
+                if r.size:
+                    self.bests[r, k] = _icdf_block(self.caches[k], u[r, ck])
+                    self.thr[r, k] = self._threshold(k, self.bests[r, k])
+            old = self.greedy[rows]
+            new = np.argmin(self.bests[rows], axis=1).astype(self.code)
+            self.greedy[rows] = new
+            moved = (new != old) & (c + 1 < bt)
+            turns[rows[moved], c[moved] + 1] = new[moved] - old[moved]
+            pos = c + 1
+            keep = pos < bt
+            rows, pos = rows[keep], pos[keep]
+        arm = np.cumsum(turns, axis=1, dtype=self.code, out=turns)
+        arm += start[:, None]
+        return arm
 
 
 class _QuantileKernel(_KernelBase):
@@ -478,19 +569,22 @@ def _tree_exact_curve(policy, arms, t_max):
     if widest**t_max > MAX_TREE_LEAVES:
         raise BudgetExceeded(f"outcome tree would exceed {MAX_TREE_LEAVES} leaves")
     raw = np.zeros(t_max)
-    K = len(arms)
-
-    def walk(state, t, log_p, cur_min):
+    # Depth first with an explicit stack: recursion would nest t_max deep.
+    # Nodes are expanded in the recursive pre-order, so every raw[t] sums
+    # its terms in the same order.
+    stack = [(policy.initial_state(len(arms)), 0, 0.0, math.inf)]
+    while stack:
+        state, t, log_p, cur_min = stack.pop()
         arm = policy.choose(state, t + 1, None)
         d = arms[arm - 1]
+        children = []
         for v, lv in zip(d.support, d.log_probs):
             child_min = v if v < cur_min else cur_min
             child_logp = log_p + lv
             raw[t] += math.exp(child_logp) * child_min
             if t + 1 < t_max:
-                walk(policy.observe(state, arm, v), t + 1, child_logp, child_min)
-
-    walk(policy.initial_state(K), 0, 0.0, math.inf)
+                children.append((policy.observe(state, arm, v), t + 1, child_logp, child_min))
+        stack.extend(reversed(children))
     return raw
 
 

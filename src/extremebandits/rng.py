@@ -118,7 +118,7 @@ class TrialStreams:
     def next_block(self, n: int) -> np.ndarray:
         out = np.empty((len(self._gens), n))
         for row, gen in enumerate(self._gens):
-            out[row] = gen.random(n)
+            gen.random(n, out=out[row])
         return out
 
 

@@ -151,6 +151,15 @@ def test_invalid_preset_value_exit_2(tmp_path, capsys):
     assert "bandit/preset" in err
 
 
+def test_bad_workers_env_exit_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv(xb.engine.WORKERS_ENV, "abc")
+    argv = ["simulate", "--bandit-preset", "uniform_vs_sure", "--horizon", "5", "--trials", "10"]
+    rc = cli.main(argv + ["--seed", "0", "--out-dir", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and xb.engine.WORKERS_ENV in err
+
+
 def test_unknown_check_exit_2(tmp_path, capsys):
     rc = cli.main(["verify", "lemma99", "--seed", "0", "--out-dir", str(tmp_path)])
     assert rc == 2

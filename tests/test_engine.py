@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 import extremebandits as xb
-from extremebandits.engine import CHUNK_TRIALS
+from extremebandits import engine
+from extremebandits.engine import BLOCK_STEPS, CHUNK_TRIALS
+from extremebandits.errors import ConfigInvalid
 from extremebandits.rng import POLICY_LANE
 
 HALF_VS_RISKY = (
@@ -14,6 +16,19 @@ HALF_VS_RISKY = (
     xb.make_discrete([(0.0, 0.25), (1.0, 0.75)]),
 )
 UNIFORM_VS_SURE = (xb.uniform01(), xb.point_mass(1.0))
+# Equal atoms, unequal masses: greedy ties resolve to the lowest index,
+# and the arm picked changes the next draw.
+TIED = (xb.make_discrete([(0.2, 0.5), (0.7, 0.5)]), xb.make_discrete([(0.2, 0.1), (0.7, 0.9)]))
+MIX3 = (
+    xb.make_discrete([(0.1, 0.01), (0.6, 0.99)]),
+    xb.uniform01(),
+    xb.make_discrete([(0.05, 0.001), (0.3, 0.5), (0.9, 0.499)]),
+)
+# At seed 40, trial 9 of eps-greedy (0.1) first draws the 0.0 atom at
+# t = BLOCK_STEPS, the last column of the first block: a record that moves
+# the greedy arm across the block boundary.
+LATE_LOW = (xb.point_mass(0.5), xb.make_discrete([(0.0, 0.01), (1.0, 0.99)]))
+ARM_SETS = {"half_vs_risky": HALF_VS_RISKY, "uniform_vs_sure": UNIFORM_VS_SURE, "tied": TIED, "mix3": MIX3}
 
 
 def _manual_raw(policy, arms, t_max, n, seed):
@@ -39,7 +54,7 @@ def test_kernel_matches_sequential_bitwise(policy):
     # is byte-for-byte the vstack sum over the sequential reference rows.
     n, t_max, seed = 48, 50, 12
     assert n <= CHUNK_TRIALS
-    for arms in (HALF_VS_RISKY, UNIFORM_VS_SURE):
+    for arms in ARM_SETS.values():
         curve = xb.estimate_min_curve(policy, arms, t_max, n_trials=n, seed=seed)
         assert np.array_equal(curve.raw, _manual_raw(policy, arms, t_max, n, seed))
 
@@ -59,6 +74,90 @@ def test_generic_kernel_matches_sequential_bitwise():
     )
     curve_t = xb.estimate_min_curve(tab, HALF_VS_RISKY, t_max, n_trials=n, seed=seed)
     assert np.array_equal(curve_t.raw, _manual_raw(tab, HALF_VS_RISKY, t_max, n, seed))
+
+
+class _SteppedEpsGreedyKernel(engine._KernelBase):
+    """Reference epsilon-greedy kernel: one vectorized step per column."""
+
+    def __init__(self, policy, arms, seed, trials):
+        super().__init__(policy, arms, seed, trials)
+        self.bests = np.full((self.n, self.K), math.inf)
+        self.rows = np.arange(self.n)
+
+    def next_block(self, bt):
+        eps = self.policy.epsilon
+        u = self.arm_streams.next_block(bt)
+        vk = np.stack([engine._icdf_block(self.caches[k], u) for k in range(self.K)])
+        if eps > 0.0:
+            p = self.pol_block(bt)
+            explore = p < eps
+            explore_arm = np.minimum((p / eps * self.K).astype(np.int64), self.K - 1)
+        self.t0 += bt
+        v = np.empty_like(u)
+        for c in range(bt):
+            arm = np.argmin(self.bests, axis=1)
+            if eps > 0.0:
+                np.copyto(arm, explore_arm[:, c], where=explore[:, c])
+            vals = vk[arm, self.rows, c]
+            v[:, c] = vals
+            np.minimum.at(self.bests, (self.rows, arm), vals)
+        return v
+
+
+def _stepped(run):
+    """run() with the stepped reference in place of the engine's kernel."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_EpsGreedyKernel", _SteppedEpsGreedyKernel)
+        return run()
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 0.1, 1.0])
+@pytest.mark.parametrize("arms", [*ARM_SETS.values(), LATE_LOW], ids=[*ARM_SETS, "late_low"])
+def test_eps_greedy_kernel_matches_stepped_reference(arms, epsilon):
+    # Two blocks, two 64-trial chunks; with LATE_LOW it includes a record on
+    # the last column of the first block.
+    policy = xb.EpsGreedyMinPolicy(epsilon=epsilon)
+    kw = dict(n_trials=80, seed=40, t_max=BLOCK_STEPS + 7)
+
+    def estimate():
+        return xb.estimate_min_curve(policy, arms, **kw)
+
+    def stream():
+        return xb.stream_curve(policy, arms, **kw)
+
+    got, want = estimate(), _stepped(estimate)
+    assert np.array_equal(got.raw, want.raw)
+    assert np.array_equal(got.se, want.se)
+    assert np.array_equal(stream().raw, _stepped(stream).raw)
+
+
+def test_eps_greedy_record_on_last_block_column():
+    policy = xb.EpsGreedyMinPolicy(epsilon=0.1)
+    t_max = BLOCK_STEPS + 7
+    trace = xb.run_trajectory(policy, LATE_LOW, t_max, seed=40, trial=9)
+    t = BLOCK_STEPS
+    assert trace.best_so_far[t - 2] == 0.5
+    assert (trace.arms[t - 1], trace.values[t - 1]) == (2, 0.0)
+    one = xb.stream_curve(policy, LATE_LOW, n_trials=1, seed=40, t_max=t_max, trial_offset=9)
+    assert np.array_equal(one.raw, trace.best_so_far)
+
+
+def test_stream_curve_early_stop_inside_second_block():
+    policy = xb.EpsGreedyMinPolicy(epsilon=0.1)
+    n, t_max, seed = 64, 3 * BLOCK_STEPS, 3
+    full = xb.estimate_min_curve(policy, UNIFORM_VS_SURE, t_max, n_trials=n, seed=seed)
+    thr = full.raw[BLOCK_STEPS + 1000]
+    want = xb.crossing_time(full.raw, thr)
+    assert BLOCK_STEPS < want <= 2 * BLOCK_STEPS
+
+    def run():
+        return xb.stream_curve(policy, UNIFORM_VS_SURE, n_trials=n, seed=seed, t_max=t_max, stop_threshold=thr)
+
+    got, ref = run(), _stepped(run)
+    assert got.crossed_at == ref.crossed_at == want
+    assert got.t_evaluated == ref.t_evaluated == 2 * BLOCK_STEPS
+    assert np.array_equal(got.raw, ref.raw)
+    assert np.array_equal(got.raw, full.raw[: 2 * BLOCK_STEPS])
 
 
 def test_kernel_block_boundary():
@@ -90,6 +189,37 @@ def test_worker_count_resolution(monkeypatch):
     assert xb.worker_count() == 3
     assert xb.worker_count(5) == 5  # explicit argument beats the env
     assert xb.worker_count(0) == 1
+    monkeypatch.setenv(xb.engine.WORKERS_ENV, "abc")
+    with pytest.raises(ConfigInvalid):
+        xb.worker_count()
+
+
+class _PoolSpy:
+    """Stands in for ProcessPoolExecutor: records its size, maps inline."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs, chunksize=1):
+        return map(fn, jobs)
+
+
+def test_parallel_map_clamps_pool_to_jobs_and_cpus(monkeypatch):
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", _PoolSpy)
+    monkeypatch.setattr(_PoolSpy, "sizes", [])
+    monkeypatch.setattr(engine.os, "cpu_count", lambda: 4)
+    assert engine.parallel_map(abs, [-1, -2, -3], workers=1000) == [1, 2, 3]
+    assert engine.parallel_map(abs, list(range(-9, 0)), workers=1000) == list(range(9, 0, -1))
+    assert engine.parallel_map(abs, [-5], workers=1000) == [5]  # one job: no pool
+    assert _PoolSpy.sizes == [3, 4]
 
 
 def test_estimates_are_running_min_and_se_sane():
@@ -154,6 +284,14 @@ def test_tree_exact_curve_matches_brute_enumeration():
     ):
         curve = xb.exact_min_curve(policy, HALF_VS_RISKY, 6)
         np.testing.assert_allclose(curve.raw, _brute_curve(policy, HALF_VS_RISKY, 6), rtol=1e-12)
+
+
+def test_tree_exact_curve_deep_horizon():
+    # Point masses keep the leaf budget at 1 however long the horizon; the
+    # walk must not nest one call per step.
+    arms = (xb.point_mass(0.5), xb.point_mass(1.0))
+    curve = xb.exact_min_curve(xb.EpsGreedyMinPolicy(epsilon=0.0), arms, 5000)
+    assert np.all(curve.raw == 0.5)
 
 
 def test_exact_curve_rejects_randomized_policies():

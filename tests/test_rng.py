@@ -48,11 +48,11 @@ def test_uniforms_slice_matches_block():
 
 def test_piecewise_blocks_match_one_shot():
     trials = range(5, 9)
-    streams = TrialStreams(7, ARM_LANE, trials)
-    first = streams.next_block(13)
-    second = streams.next_block(17)
-    whole = np.vstack([uniform_block(7, ARM_LANE, tr, 30) for tr in trials])
-    assert np.array_equal(np.hstack([first, second]), whole)
+    for sizes in ((13, 17), (1, 4096, 0, 7, 300)):
+        streams = TrialStreams(7, ARM_LANE, trials)
+        blocks = [streams.next_block(n) for n in sizes]
+        whole = np.vstack([uniform_block(7, ARM_LANE, tr, sum(sizes)) for tr in trials])
+        assert np.array_equal(np.hstack(blocks), whole)
 
 
 def test_randint_range_and_formula():
