@@ -33,7 +33,7 @@ from .construction import (
     user_sequence,
 )
 from .distributions import from_record, make_discrete, point_mass, uniform01
-from .errors import ConfigInvalid, ExtremeBanditsError, HorizonOverflow
+from .errors import ConfigInvalid, ExtremeBanditsError, HorizonOverflow, IoFailure
 from .oracles import best_arm_scan
 from .policies import make_policy
 from .reporting import Reporter
@@ -84,7 +84,7 @@ CONFIG_SCHEMA = {
     "required": ["command", "seed"],
     "properties": {
         "command": {"enum": ["simulate", "regret", "verify", "construct", "best_arm_scan"]},
-        "seed": {"type": "integer", "minimum": 0},
+        "seed": {"type": "integer", "minimum": 0, "maximum": 2**64 - 1},
         "out_dir": {"type": "string"},
         "workers": {"type": ["integer", "null"], "minimum": 1},
         "bandit": _BANDIT,
@@ -106,9 +106,18 @@ CONFIG_SCHEMA = {
 }
 
 
+# JSON Schema counts 10.0 as an integer; the runners need exact ints.
+_Validator = jsonschema.validators.extend(
+    jsonschema.Draft202012Validator,
+    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
+        "integer", lambda _, x: isinstance(x, int) and not isinstance(x, bool)
+    ),
+)
+
+
 def validate_config(config: dict) -> dict:
     try:
-        jsonschema.validate(config, CONFIG_SCHEMA)
+        jsonschema.validate(config, CONFIG_SCHEMA, cls=_Validator)
     except jsonschema.ValidationError as exc:
         path = "/".join(str(p) for p in exc.absolute_path) or "(root)"
         raise ConfigInvalid(f"config invalid at {path}: {exc.message}", schema_path=path) from exc
@@ -168,13 +177,13 @@ def run_simulate(config: dict) -> int:
     policy = _policy_from_config(config)
     horizon = config.get("horizon", 100)
     mode = config.get("mode", "monte_carlo")
+    rep = Reporter(config.get("out_dir", "out"), config)
     if mode == "exact":
         curve = engine.exact_min_curve(policy, arms, horizon)
     else:
         curve = engine.estimate_min_curve(
             policy, arms, horizon, config.get("trials", 1000), config["seed"], config.get("workers")
         )
-    rep = Reporter(config.get("out_dir", "out"), config)
     rep.write_config()
     rep.emit_curve(curve)
     print(f"simulate: policy={policy.name} mode={mode} horizon={horizon} final={curve.estimates[-1]:.17g}")
@@ -187,6 +196,7 @@ def run_regret(config: dict) -> int:
     arms = _arms_from_config(config)
     policy = _policy_from_config(config)
     horizon = config.get("horizon", 100)
+    rep = Reporter(config.get("out_dir", "out"), config)
     report = engine.extreme_regret(
         policy,
         arms,
@@ -198,7 +208,6 @@ def run_regret(config: dict) -> int:
         bootstrap=config.get("bootstrap", 1000),
         workers=config.get("workers"),
     )
-    rep = Reporter(config.get("out_dir", "out"), config)
     rep.write_config()
     rep.emit_regret(report)
     t_prime = report.t_prime if report.t_prime is not None else "never(cap)"
@@ -218,10 +227,10 @@ def run_verify(config: dict) -> int:
         if cid not in ALL_CHECKS:
             raise ConfigInvalid(f"unknown check {cid!r}; known: {', '.join(ALL_CHECKS)}", schema_path="checks")
     policy_name = (config.get("policy") or {"name": "round_robin"})["name"]
+    rep = Reporter(config.get("out_dir", "out"), config)
     reports = []
     for cid in ids:
         reports.extend(run_check(cid, seed=config["seed"], workers=config.get("workers"), policy=policy_name))
-    rep = Reporter(config.get("out_dir", "out"), config)
     rep.write_config()
     rep.emit_checks(reports)
     all_passed = True
@@ -236,6 +245,7 @@ def run_verify(config: dict) -> int:
 
 def run_construct(config: dict) -> int:
     a, b, tup = _construction_from_config(config)
+    rep = Reporter(config.get("out_dir", "out"), config)
     horizons = {}
     for i in range(1, a.depth + 1):
         log_alpha = a.log_alphas[i - 1]
@@ -249,7 +259,6 @@ def run_construct(config: dict) -> int:
         except HorizonOverflow:
             entry["log_T_prime"] = log_horizon_Tprime(log_alpha, i, a.K)
         horizons[str(i)] = entry
-    rep = Reporter(config.get("out_dir", "out"), config)
     rep.write_config()
     rep.emit_tuple(tup, a.report, horizons)
     print(
@@ -263,8 +272,8 @@ def run_construct(config: dict) -> int:
 
 def run_best_arm_scan(config: dict) -> int:
     horizons = config.get("horizons", [100, 1000, 10000])
-    results = [best_arm_scan(t, config.get("grid", 10000)) for t in horizons]
     rep = Reporter(config.get("out_dir", "out"), config)
+    results = [best_arm_scan(t, config.get("grid", 10000)) for t in horizons]
     rep.write_config()
     rep.emit_scan(results)
     for r in results:
@@ -369,8 +378,15 @@ def build_parser() -> argparse.ArgumentParser:
 def _merge_config(args: argparse.Namespace) -> dict:
     config: dict = {}
     if args.config:
-        with open(args.config) as fh:
-            config = json.load(fh)
+        try:
+            with open(args.config) as fh:
+                config = json.load(fh)
+        except OSError as exc:
+            raise IoFailure(f"cannot read config file {args.config}: {exc.strerror}") from None
+        except ValueError as exc:
+            raise ConfigInvalid(f"config file {args.config} is not JSON: {exc}") from None
+        if not isinstance(config, dict):
+            raise ConfigInvalid(f"config file {args.config} does not hold a JSON object")
     command = args.command.replace("-", "_")
     config["command"] = command
     config.setdefault("seed", 0)

@@ -8,7 +8,9 @@ kernels, streaming evaluator) reads the same counter addresses, so they all
 produce bit-identical trajectories and the worker count cannot change any
 number. Monte Carlo reductions always run over fixed 64-trial chunks in
 trial order for the same reason. The epsilon-greedy kernel steps from
-record to record rather than one time step at a time.
+record to record rather than one time step at a time. The scripted exact
+curve is a cumulative sum and product over chunks of steps, with each
+discrete arm's survivals computed once.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import Distribution, expected_min, log_survival_at, _check_horizon
+from .distributions import Distribution, expected_min, log_survivals, _check_horizon
 from .errors import BudgetExceeded, ConfigInvalid, ContinuousArm
 from .policies import (
     EpsGreedyMinPolicy,
@@ -33,6 +35,8 @@ from .rng import ARM_LANE, BOOT_LANE, POLICY_LANE, Coin, TrialStreams, generator
 CHUNK_TRIALS = 64
 BLOCK_STEPS = 4096
 MAX_TREE_LEAVES = 10_000_000
+# Steps x breakpoints per chunk of the scripted exact curve (a few MB).
+EXACT_CHUNK_CELLS = 2**18
 WORKERS_ENV = "EXTREMEBANDITS_WORKERS"
 
 
@@ -536,28 +540,47 @@ def _scripted_exact_curve(script, arms, t_max):
     breaks = sorted({v for d in arms if d.is_discrete for v in d.support} | {1.0})
     w = np.array(breaks)
     left = np.concatenate([[0.0], w[:-1]])
-    log_s = []
-    for d in arms:
-        if d.is_discrete:
-            log_s.append(np.array([log_survival_at(d, v) for v in w]))
-        else:
-            log_s.append(None)
-    log_d = np.zeros(len(w))
     a = 1.0 - left
     b = 1.0 - w
-    pow_a = a.copy()
-    pow_b = b.copy()
-    n_uniform = 0
-    raw = np.empty(t_max)
-    for t in range(1, t_max + 1):
-        k = script[t - 1] - 1
-        if log_s[k] is None:
-            n_uniform += 1
-            pow_a *= a
-            pow_b *= b
+    # Per-arm increments of one step: log survivals at every breakpoint for a
+    # discrete arm; a uniform01 arm multiplies the (1-v)^n factors instead.
+    # The neutral entries (0.0 to add, 1.0 to multiply) are exact.
+    log_s = np.zeros((len(arms), len(w)))
+    fac_a = np.ones((len(arms), len(w)))
+    fac_b = np.ones((len(arms), len(w)))
+    is_uniform = np.zeros(len(arms), dtype=np.int64)
+    for k, d in enumerate(arms):
+        if d.is_discrete:
+            # log P[X >= v] at each breakpoint; -inf above the last atom.
+            j = np.searchsorted(d.support, w, side="left")
+            log_s[k] = np.append(log_survivals(d), -math.inf)[j]
         else:
-            log_d += log_s[k]
-        raw[t - 1] = float(np.sum(np.exp(log_d) * (pow_a - pow_b)) / (n_uniform + 1))
+            fac_a[k], fac_b[k], is_uniform[k] = a, b, 1
+    # Running state after the previous step, accumulated chunk by chunk in
+    # step order, so every entry equals the per-step update bit for bit.
+    log_d = np.zeros(len(w))
+    pow_a, pow_b = a, b
+    n_uniform = 0
+    chunk = max(1, EXACT_CHUNK_CELLS // len(w))
+    raw = np.empty(t_max)
+    for t0 in range(0, t_max, chunk):
+        k = script[t0 : t0 + chunk] - 1
+        # Fancy indexing copies, so each seed folds into its first row in
+        # place: row i is then ((state + inc_1) + ...) + inc_i, as stepped.
+        L, PA, PB = log_s[k], fac_a[k], fac_b[k]
+        L[0] += log_d
+        PA[0] *= pow_a
+        PB[0] *= pow_b
+        np.cumsum(L, axis=0, out=L)
+        np.cumprod(PA, axis=0, out=PA)
+        np.cumprod(PB, axis=0, out=PB)
+        n_u = n_uniform + np.cumsum(is_uniform[k])
+        log_d, pow_a, pow_b, n_uniform = L[-1].copy(), PA[-1].copy(), PB[-1].copy(), int(n_u[-1])
+        # exp(L) * (PA - PB), summed per step, computed in place.
+        np.exp(L, out=L)
+        PA -= PB
+        L *= PA
+        raw[t0 : t0 + len(k)] = np.sum(L, axis=1) / (n_u + 1)
     return raw
 
 
@@ -692,10 +715,12 @@ def _bootstrap_crossing_ci(events, n_trials, cap, threshold, seed, n_boot):
     )
     slack = 1e-12 * max(1.0, abs(threshold))
     rng = generator_for(seed, BOOT_LANE, 0)
-    counts = rng.multinomial(n_trials, np.full(n_trials, 1.0 / n_trials), size=n_boot)
+    probs = np.full(n_trials, 1.0 / n_trials)
     crossings = np.empty(n_boot)
     for i in range(n_boot):
-        weights = counts[i][trial_ids] * deltas
+        # One resample at a time: the same draws as one n_boot x n_trials
+        # matrix, without holding it.
+        weights = rng.multinomial(n_trials, probs)[trial_ids] * deltas
         mean = np.cumsum(np.bincount(ts - 1, weights=weights, minlength=cap)) / n_trials
         hits = np.nonzero(mean <= threshold + slack)[0]
         crossings[i] = hits[0] + 1 if hits.size else math.inf

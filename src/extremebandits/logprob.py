@@ -15,36 +15,6 @@ LOG_ZERO = float("-inf")
 LOG_HALF = math.log(0.5)
 
 
-def log_add(a: float, b: float) -> float:
-    """log(e^a + e^b) without leaving log domain."""
-    if a == LOG_ZERO:
-        return b
-    if b == LOG_ZERO:
-        return a
-    hi, lo = (a, b) if a >= b else (b, a)
-    return hi + math.log1p(math.exp(lo - hi))
-
-
-def log_sum(xs) -> float:
-    """log of the sum of exp(x) over an iterable, tolerant of empty input."""
-    acc = LOG_ZERO
-    for x in xs:
-        acc = log_add(acc, x)
-    return acc
-
-
-def log1mexp(x: float) -> float:
-    """log(1 - e^x) for x <= 0, stable near both ends."""
-    if x >= 0.0:
-        if x == 0.0:
-            return LOG_ZERO
-        raise ValueError(f"log1mexp needs x <= 0, got {x}")
-    # Split at -log 2 per the usual two-branch rule.
-    if x > -math.log(2.0):
-        return math.log(-math.expm1(x))
-    return math.log1p(-math.exp(x))
-
-
 def exp_diff(log_a: float, log_b: float) -> float:
     """e^log_a - e^log_b for log_a >= log_b, accurate when nearly equal."""
     if log_b == LOG_ZERO:

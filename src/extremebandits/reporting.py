@@ -17,6 +17,8 @@ import os
 
 import numpy as np
 
+from .errors import IoFailure
+
 VERSION = "0.1.0"
 
 
@@ -30,6 +32,10 @@ def fmt_float(x) -> str:
             return "inf" if x > 0 else "-inf"
         return f"{x:.17g}"
     return str(x)
+
+
+def _json_float(x: float) -> str:
+    return repr(x) if math.isfinite(x) else json.dumps(jsonable(x))
 
 
 def jsonable(obj):
@@ -65,7 +71,10 @@ class Reporter:
         self.hash = config_hash(self.config)
         self.seed = config.get("seed", 0)
         self.written: list[str] = []
-        os.makedirs(out_dir, exist_ok=True)
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+        except OSError as exc:
+            raise IoFailure(f"cannot create output directory {out_dir}: {exc.strerror}") from None
 
     def _meta_line(self) -> str:
         return f"# seed={self.seed} config_hash={self.hash} version={VERSION}\n"
@@ -101,18 +110,24 @@ class Reporter:
     # -- result-type specific emitters ------------------------------------
 
     def emit_curve(self, curve, name: str = "curve"):
-        rows = [
-            [t + 1, curve.estimates[t], curve.raw[t], curve.se[t]]
-            for t in range(curve.t_max)
-        ]
-        self.write_csv(f"{name}.csv", ["t", "estimate", "raw", "se"], rows)
-        self.write_records(
-            f"{name}.jsonl",
-            (
-                {"t": t + 1, "estimate": float(curve.estimates[t]), "raw": float(curve.raw[t]), "se": float(curve.se[t]), "mode": curve.mode, "n_trials": curve.n_trials}
-                for t in range(curve.t_max)
-            ),
+        """The curve as CSV and JSONL, byte for byte what write_csv and
+        write_records give for its rows, rendered column by column."""
+        columns = (range(1, curve.t_max + 1), curve.estimates.tolist(), curve.raw.tolist(), curve.se.tolist())
+        with open(self._path(f"{name}.csv"), "w") as fh:
+            fh.write(self._meta_line())
+            fh.write("t,estimate,raw,se\n")
+            # On a float, .17g prints nan, inf and -inf as fmt_float does.
+            fh.writelines(f"{t},{e:.17g},{r:.17g},{s:.17g}\n" for t, e, r, s in zip(*columns))
+        # One record as json.dumps(sort_keys=True) writes it, with a %s in
+        # place of each column; the columns sort as estimate, raw, se, t.
+        fields = {**self._meta_fields(), "mode": curve.mode, "n_trials": curve.n_trials}
+        names = ("estimate", "raw", "se", "t")
+        line = "{%s}\n" % ", ".join(
+            f"{json.dumps(k)}: " + ("%s" if k in names else json.dumps(jsonable(fields[k])))
+            for k in sorted([*fields, *names])
         )
+        with open(self._path(f"{name}.jsonl"), "w") as fh:
+            fh.writelines(line % (_json_float(e), _json_float(r), _json_float(s), t) for t, e, r, s in zip(*columns))
 
     def emit_regret(self, report, name: str = "regret"):
         header = ["horizon", "cap", "mode", "oracle_value", "t_prime", "ratio", "ci_low", "ci_high", "n_trials"]
@@ -131,12 +146,6 @@ class Reporter:
         rec = {k: getattr(report, k) for k in header}
         self.write_records(f"{name}.jsonl", [rec])
         self.emit_curve(report.curve, f"{name}_curve")
-
-    def emit_gap(self, report, name: str = "gap"):
-        header = ["horizon", "mode", "policy_value", "oracle_value", "oracle_arm", "gap", "ratio", "n_trials"]
-        row = [getattr(report, k) for k in header]
-        self.write_csv(f"{name}.csv", header, [row])
-        self.write_records(f"{name}.jsonl", [dict(zip(header, row))])
 
     def emit_checks(self, reports, name: str = "checks"):
         self.write_csv(

@@ -357,12 +357,13 @@ def lemma10_margin(a: AlphaSequence, b: BAssignment, i: int, counts, horizon: in
 def check_lemma10(n_cases: int = 1000, seed: int = 0, arm_counts: tuple[int, ...] = (2, 3), t_max: int = 50) -> CheckReport:
     """Randomized sweep of the product-average inequality, plus one pinned case."""
     pinned = lemma10_margin(desk_sequence(2), BAssignment((1, 1)), 2, (3, 2), 5)
+    sequences = {K: desk_sequence(K) for K in arm_counts}
     n_pass = 0
     worst = math.inf
     for case in range(n_cases):
         rng = generator_for(seed, CHECK_LANE, case + 1)
         K = int(arm_counts[rng.integers(len(arm_counts))])
-        a = desk_sequence(K)
+        a = sequences[K]
         i = a.depth
         b = BAssignment(tuple(int(x) for x in rng.integers(1, K + 1, size=a.depth)))
         horizon = int(rng.integers(1, t_max + 1))

@@ -160,6 +160,28 @@ def test_bad_workers_env_exit_2(tmp_path, capsys, monkeypatch):
     assert err.count("\n") == 1 and xb.engine.WORKERS_ENV in err
 
 
+BAD_INPUTS = {
+    "seed_above_uint64": ["--horizon", "5", "--seed", str(2**64)],
+    "float_horizon_in_config": ["--config", "{tmp}/horizon.json"],
+    "missing_config": ["--horizon", "5", "--config", "{tmp}/missing.json"],
+    "config_not_json": ["--horizon", "5", "--config", "{tmp}/broken.json"],
+    "out_dir_below_file": ["--horizon", "5", "--out-dir", "{tmp}/file/out"],
+}
+
+
+@pytest.mark.parametrize("case", BAD_INPUTS)
+def test_bad_input_exit_2(case, tmp_path, capsys):
+    (tmp_path / "horizon.json").write_text(json.dumps({"horizon": 10.0}))
+    (tmp_path / "broken.json").write_text("{not json")
+    (tmp_path / "file").write_text("")
+    argv = ["simulate", "--bandit-preset", "uniform_vs_sure", "--trials", "10", "--out-dir", str(tmp_path / "out")]
+    rc = cli.main(argv + [a.format(tmp=tmp_path) for a in BAD_INPUTS[case]])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_unknown_check_exit_2(tmp_path, capsys):
     rc = cli.main(["verify", "lemma99", "--seed", "0", "--out-dir", str(tmp_path)])
     assert rc == 2

@@ -8,8 +8,9 @@ import pytest
 import extremebandits as xb
 from extremebandits import engine
 from extremebandits.engine import BLOCK_STEPS, CHUNK_TRIALS
+from extremebandits.distributions import log_survival_at
 from extremebandits.errors import ConfigInvalid
-from extremebandits.rng import POLICY_LANE
+from extremebandits.rng import BOOT_LANE, POLICY_LANE, generator_for
 
 HALF_VS_RISKY = (
     xb.point_mass(0.5),
@@ -259,6 +260,74 @@ def test_exact_curve_matches_expected_min():
             np.testing.assert_allclose(curve.raw, want, rtol=1e-12)
 
 
+def _stepped_scripted_exact_curve(script, arms, t_max):
+    """Reference scripted exact curve: survivals looked up one breakpoint at
+    a time, the state updated and reduced one step at a time."""
+    breaks = sorted({v for d in arms if d.is_discrete for v in d.support} | {1.0})
+    w = np.array(breaks)
+    left = np.concatenate([[0.0], w[:-1]])
+    log_s = [np.array([log_survival_at(d, v) for v in w]) if d.is_discrete else None for d in arms]
+    log_d = np.zeros(len(w))
+    a = 1.0 - left
+    b = 1.0 - w
+    pow_a = a.copy()
+    pow_b = b.copy()
+    n_uniform = 0
+    raw = np.empty(t_max)
+    for t in range(1, t_max + 1):
+        k = script[t - 1] - 1
+        if log_s[k] is None:
+            n_uniform += 1
+            pow_a *= a
+            pow_b *= b
+        else:
+            log_d += log_s[k]
+        raw[t - 1] = float(np.sum(np.exp(log_d) * (pow_a - pow_b)) / (n_uniform + 1))
+    return raw
+
+
+def _random_arm(rng, m):
+    values = np.sort(rng.choice(np.linspace(0.0, 1.0, 1001), m, replace=False))
+    probs = rng.random(m)
+    return xb.make_discrete(list(zip(values.tolist(), (probs / probs.sum()).tolist())))
+
+
+_ATOMS_RNG = np.random.default_rng(3)
+SIXTY_ATOMS = (_random_arm(_ATOMS_RNG, 60), _random_arm(_ATOMS_RNG, 60))
+UNIFORM_MIX3 = (xb.make_discrete([(0.1, 0.01), (0.6, 0.99)]), xb.uniform01(), xb.uniform01())
+
+
+def _desk_arms():
+    a = xb.desk_sequence(2)
+    return xb.build_tuple(a, xb.BAssignment((1, 2))).arms, xb.horizon_T(a.log_alphas[-1])
+
+
+SCRIPTED_CASES = {
+    "round_robin-uniform_vs_sure": lambda: (xb.RoundRobinPolicy(), UNIFORM_VS_SURE, 50_000),
+    "arm_sequence-uniform_vs_sure": lambda: (xb.SequenceThenArmPolicy(prefix=(2,), tail_arm=1), UNIFORM_VS_SURE, 50_000),
+    "round_robin-sixty_atoms": lambda: (xb.RoundRobinPolicy(), SIXTY_ATOMS, 1_000),
+    "round_robin-desk": lambda: (xb.RoundRobinPolicy(), *_desk_arms()),
+    "round_robin-mix3": lambda: (xb.RoundRobinPolicy(), UNIFORM_MIX3, 3_000),
+    "fixed_arm-sixty_atoms": lambda: (xb.FixedArmPolicy(arm=2), SIXTY_ATOMS, 5_000),
+}
+
+
+@pytest.mark.parametrize("case", SCRIPTED_CASES)
+def test_scripted_exact_curve_matches_stepped_reference(case, monkeypatch):
+    policy, arms, t_max = SCRIPTED_CASES[case]()
+    script = np.asarray(policy.arm_script(len(arms), t_max), dtype=np.int64)
+    want = _stepped_scripted_exact_curve(script, arms, t_max)
+    assert np.array_equal(xb.exact_min_curve(policy, arms, t_max).raw, want)
+    if case == "fixed_arm-sixty_atoms":  # spans more than two default chunks
+        n_breaks = len({v for d in arms for v in d.support} | {1.0})
+        assert t_max > 2 * (engine.EXACT_CHUNK_CELLS // n_breaks)
+    # Chunks of one step or a few steps: every chunk seeds the next.
+    short = min(t_max, 700)
+    for cells in (1, 7):
+        monkeypatch.setattr(engine, "EXACT_CHUNK_CELLS", cells)
+        assert np.array_equal(xb.exact_min_curve(policy, arms, short).raw, want[:short])
+
+
 def _brute_curve(policy, arms, t_max):
     """Per-depth E[min] by full outcome-tree enumeration (policy API only)."""
     out = np.zeros(t_max)
@@ -392,6 +461,43 @@ def test_extreme_regret_monte_carlo_with_bootstrap():
     )
     assert again.t_prime == rep.t_prime
     assert (again.ci_low, again.ci_high) == (rep.ci_low, rep.ci_high)
+
+
+def _matrix_bootstrap_ci(events, n_trials, cap, threshold, seed, n_boot):
+    """Reference bootstrap: all n_boot x n_trials resample counts in one draw."""
+    trial_ids = np.concatenate([np.full(len(ts), m, dtype=np.int64) for m, (ts, _) in enumerate(events)])
+    ts = np.concatenate([t for t, _ in events])
+    deltas = np.concatenate([np.diff(vs, prepend=0.0) if len(vs) else vs for _, vs in events])
+    slack = 1e-12 * max(1.0, abs(threshold))
+    rng = generator_for(seed, BOOT_LANE, 0)
+    counts = rng.multinomial(n_trials, np.full(n_trials, 1.0 / n_trials), size=n_boot)
+    crossings = np.empty(n_boot)
+    for i in range(n_boot):
+        weights = counts[i][trial_ids] * deltas
+        mean = np.cumsum(np.bincount(ts - 1, weights=weights, minlength=cap)) / n_trials
+        hits = np.nonzero(mean <= threshold + slack)[0]
+        crossings[i] = hits[0] + 1 if hits.size else math.inf
+    lo, hi = np.quantile(crossings, [0.025, 0.975], method="nearest")
+    return (int(lo) if math.isfinite(lo) else None, int(hi) if math.isfinite(hi) else None)
+
+
+@pytest.mark.parametrize(
+    "policy, arms, horizon, seed",
+    [
+        (xb.RoundRobinPolicy(), UNIFORM_VS_SURE, 10, 3),
+        (xb.EpsGreedyMinPolicy(epsilon=0.1), UNIFORM_VS_SURE, 20, 5),
+        (xb.UniformRandomPolicy(), HALF_VS_RISKY, 4, 6),
+    ],
+)
+def test_bootstrap_ci_matches_matrix_draw(policy, arms, horizon, seed):
+    n_trials, n_boot = 300, 200
+    cap = 4 * len(arms) * horizon
+    oracle = min(xb.expected_min(d, horizon) for d in arms)
+    _, events = engine._curve_and_events(policy, arms, cap, n_trials, seed, 1, True)
+    want = _matrix_bootstrap_ci(events, n_trials, cap, oracle, seed, n_boot)
+    assert engine._bootstrap_crossing_ci(events, n_trials, cap, oracle, seed, n_boot) == want
+    rep = xb.extreme_regret(policy, arms, horizon, n_trials=n_trials, seed=seed, bootstrap=n_boot)
+    assert (rep.ci_low, rep.ci_high) == want
 
 
 def test_extreme_regret_honors_explicit_oracle_and_cap():
