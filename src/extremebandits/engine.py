@@ -10,7 +10,9 @@ number. Monte Carlo reductions always run over fixed 64-trial chunks in
 trial order for the same reason. The epsilon-greedy kernel steps from
 record to record rather than one time step at a time. The scripted exact
 curve is a cumulative sum and product over chunks of steps, with each
-discrete arm's survivals computed once.
+discrete arm's survivals computed once. Change points of the trial minima
+are kept as columns (trial, step, delta), and each bootstrap resample is one
+sparse matrix-vector product over them.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from .distributions import Distribution, expected_min, log_survivals, _check_horizon
 from .errors import BudgetExceeded, ConfigInvalid, ContinuousArm
@@ -388,7 +391,7 @@ def _curve_chunk(job):
     kernel = _make_kernel(policy, arms, seed, range(start, start + size), t_max)
     sums = np.zeros(t_max)
     sumsq = np.zeros(t_max)
-    events = [([], []) for _ in range(size)] if want_events else None
+    rows, steps, vals = [], [], []
     carry = np.full(size, math.inf)
     t0 = 0
     while t0 < t_max:
@@ -400,13 +403,29 @@ def _curve_chunk(job):
         sumsq[t0 : t0 + bt] += (v * v).sum(axis=0)
         if want_events:
             prev = np.column_stack([carry, v[:, :-1]])
-            rows, cols = np.nonzero(v < prev)
-            for r, c in zip(rows, cols):
-                events[r][0].append(t0 + c + 1)
-                events[r][1].append(v[r, c])
+            r, c = np.nonzero(v < prev)
+            rows.append(r)
+            steps.append(t0 + 1 + c)
+            vals.append(v[r, c])
         carry = v[:, -1].copy()
         t0 += bt
-    return sums, sumsq, events
+    return sums, sumsq, _columnar_events(rows, steps, vals, start) if want_events else None
+
+
+def _columnar_events(rows, ts, vals, start):
+    """Change points of the trials' running minima as (trial_ids, ts, deltas).
+
+    The per-block pieces are put in trial-major, time-ordered sequence by one
+    stable sort on the row. A delta is the fall of the running minimum at
+    that step, the first one from 0.0: the bits of np.diff(vs, prepend=0.0)
+    over each trial's values vs.
+    """
+    rows = np.concatenate(rows)
+    order = np.argsort(rows, kind="stable")
+    rows, ts, vals = rows[order], np.concatenate(ts)[order], np.concatenate(vals)[order]
+    before = np.concatenate(([0.0], vals[:-1]))
+    before[np.flatnonzero(np.diff(rows, prepend=-1))] = 0.0
+    return rows + start, ts, vals - before
 
 
 def _curve_and_events(policy, arms, t_max, n_trials, seed, workers, want_events):
@@ -421,14 +440,12 @@ def _curve_and_events(policy, arms, t_max, n_trials, seed, workers, want_events)
         start += size
     sums = np.zeros(t_max)
     sumsq = np.zeros(t_max)
-    events = [] if want_events else None
+    pieces = []
     for s, sq, ev in parallel_map(_curve_chunk, jobs, workers):
         sums += s
         sumsq += sq
-        if want_events:
-            events.extend(
-                (np.array(ts, dtype=np.int64), np.array(vs)) for ts, vs in ev
-            )
+        pieces.append(ev)
+    events = tuple(np.concatenate(column) for column in zip(*pieces)) if want_events else None
     raw = sums / n_trials
     if n_trials > 1:
         var = np.maximum(sumsq - n_trials * raw * raw, 0.0) / (n_trials - 1)
@@ -704,15 +721,14 @@ def extreme_regret(
 def _bootstrap_crossing_ci(events, n_trials, cap, threshold, seed, n_boot):
     """Percentile bootstrap of the crossing time, resampling whole trials.
 
-    Trial curves are kept as change-point deltas, so one resample is a
-    weighted scatter-add followed by a cumulative sum. All resampling
-    randomness comes from the dedicated bootstrap lane of the seed.
+    Trial curves are kept as change-point deltas (``_columnar_events``) in a
+    sparse cap x n_trials matrix, so one resample is a mat-vec with the
+    resample's counts followed by a cumulative sum. A CSR row sums its terms
+    in trial order from 0.0, as a scatter-add over the events would. All
+    resampling randomness comes from the dedicated bootstrap lane of the seed.
     """
-    trial_ids = np.concatenate([np.full(len(ts), m, dtype=np.int64) for m, (ts, _) in enumerate(events)])
-    ts = np.concatenate([t for t, _ in events])
-    deltas = np.concatenate(
-        [np.diff(vs, prepend=0.0) if len(vs) else vs for _, vs in events]
-    )
+    trial_ids, ts, deltas = events
+    deltas_by_step = csr_matrix((deltas, (ts - 1, trial_ids)), shape=(cap, n_trials))
     slack = 1e-12 * max(1.0, abs(threshold))
     rng = generator_for(seed, BOOT_LANE, 0)
     probs = np.full(n_trials, 1.0 / n_trials)
@@ -720,8 +736,8 @@ def _bootstrap_crossing_ci(events, n_trials, cap, threshold, seed, n_boot):
     for i in range(n_boot):
         # One resample at a time: the same draws as one n_boot x n_trials
         # matrix, without holding it.
-        weights = rng.multinomial(n_trials, probs)[trial_ids] * deltas
-        mean = np.cumsum(np.bincount(ts - 1, weights=weights, minlength=cap)) / n_trials
+        counts = rng.multinomial(n_trials, probs).astype(float)
+        mean = np.cumsum(deltas_by_step @ counts) / n_trials
         hits = np.nonzero(mean <= threshold + slack)[0]
         crossings[i] = hits[0] + 1 if hits.size else math.inf
     lo, hi = np.quantile(crossings, [0.025, 0.975], method="nearest")

@@ -31,6 +31,8 @@ from .rng import ARM_LANE, TrialStreams
 
 MAX_DP_SUPPORT = 64
 MAX_DP_HORIZON = 100_000
+# Trials x steps per block of uniforms read by the greedy Monte Carlo oracle.
+GREEDY_BLOCK_CELLS = 2**20
 
 
 @dataclass(frozen=True)
@@ -175,16 +177,17 @@ def _greedy_monte_carlo(arms, horizon, n_trials, seed) -> float:
         glob.append(g)
     streams = TrialStreams(seed, ARM_LANE, range(n_trials))
     state = np.full(n_trials, m, dtype=np.intp)
-    for t in range(horizon):
-        u = streams.next_block(1)[:, 0]
-        arm_of = choices[state]
-        new_idx = np.empty(n_trials, dtype=np.intp)
-        for k in range(len(arms)):
-            mask = arm_of == k + 1
-            if np.any(mask):
-                local = np.searchsorted(cums[k], u[mask], side="left")
-                new_idx[mask] = glob[k][local]
-        np.minimum(state, new_idx, out=state)
+    steps = max(1, GREEDY_BLOCK_CELLS // n_trials)
+    for t0 in range(0, horizon, steps):
+        for u in streams.next_block(min(steps, horizon - t0)).T:
+            arm_of = choices[state]
+            new_idx = np.empty(n_trials, dtype=np.intp)
+            for k in range(len(arms)):
+                mask = arm_of == k + 1
+                if np.any(mask):
+                    local = np.searchsorted(cums[k], u[mask], side="left")
+                    new_idx[mask] = glob[k][local]
+            np.minimum(state, new_idx, out=state)
     return float(support[state].mean())
 
 

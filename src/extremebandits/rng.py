@@ -9,9 +9,12 @@ double consumed at time t of trial m under seed s is a pure function of
 
 so the t-th double of a (seed, lane, trial) stream is simply the t-th output.
 Putting the trial index in counter word 1 leaves the whole low word for
-in-trial draws: trials can never collide, and a block drawn piecewise is
-bit-identical to the same block drawn in one call (Philox is stateless given
-the counter). That is what makes worker fan-out and re-runs reproducible.
+in-trial draws: trials can never collide. Philox is stateless given the
+counter: the double at step t of trial m is word (t-1) mod 4 of the block at
+counter ((t-1)//4 + 1, m, 0, 0). So a reader never replays a stream: it sets
+the counter of one generator and reads from there (``_seek``), and a block
+drawn piecewise is bit-identical to the same block drawn in one call. That
+is what makes worker fan-out and re-runs reproducible.
 
 Lanes keep independent concerns on disjoint streams: arm-value draws, policy
 coin flips, assignment sampling, checker-internal sampling, bootstrap
@@ -47,6 +50,23 @@ def generator_for(seed: int, lane: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key, counter=counter))
 
 
+def _seek(bitgen: np.random.Philox, state: dict, trial: int, t0: int) -> None:
+    """Position bitgen so that its next double is step t0 + 1 of ``trial``.
+
+    ``state`` is the generator's own state dict, reused between calls: its
+    counter is rewritten in place and its buffer marked empty, so the next
+    draw computes the block at counter (t0 // 4 + 1, trial, 0, 0); the
+    t0 mod 4 words of that block before step t0 + 1 are then skipped.
+    """
+    counter = state["state"]["counter"]
+    counter[0] = t0 // 4
+    counter[1] = trial
+    state["buffer_pos"] = 4
+    bitgen.state = state
+    if t0 % 4:
+        bitgen.random_raw(t0 % 4)
+
+
 def uniform_block(seed: int, lane: int, trial: int, n: int) -> np.ndarray:
     """Doubles for t = 1..n of one trial stream, in [0, 1)."""
     return generator_for(seed, lane, trial).random(n)
@@ -70,19 +90,20 @@ class RngStream:
         _as_uint64(self.seed, "seed")
         _as_uint64(self.trial, "trial")
         _as_uint64(self.lane, "lane")
-        if self.t < 1:
-            raise ValueError(f"time index must be >= 1, got {self.t}")
+        # _seek stores (t-1)//4 in a 64-bit counter word.
+        if not 1 <= self.t <= 4 * _MAX_UINT64:
+            raise ValueError(f"time index must be in [1, 2^66], got {self.t}")
 
     def uniform(self) -> float:
-        # The t-th output of the trial stream. Wasteful for huge t in a
-        # single call, but single-value access is only used at test scale;
-        # bulk consumers go through uniform_block / TrialStreams.
-        return float(uniform_block(self.seed, self.lane, self.trial, self.t)[-1])
+        return float(self.uniforms(1)[0])
 
     def uniforms(self, n: int) -> np.ndarray:
-        """Doubles at times t, t+1, ..., t+n-1 of this stream."""
-        block = uniform_block(self.seed, self.lane, self.trial, self.t - 1 + n)
-        return block[self.t - 1 :]
+        """Doubles at times t, t+1, ..., t+n-1 of this stream, read from the
+        counter of step t: O(n), whatever t is."""
+        gen = generator_for(self.seed, self.lane, self.trial)
+        if self.t > 1:  # a new generator already reads step 1
+            _seek(gen.bit_generator, gen.bit_generator.state, self.trial, self.t - 1)
+        return gen.random(n)
 
     def randint(self, k: int) -> int:
         """One integer uniform on {1, ..., k}, derived from this address."""
@@ -103,22 +124,29 @@ class RngStream:
 class TrialStreams:
     """Stateful block reader over a fixed set of trial streams.
 
-    Holds one generator per trial; ``next_block(n)`` returns the next n
-    doubles of every trial as an (n_trials, n) array. Because Philox blocks
-    drawn piecewise match one-shot draws, consuming a horizon in chunks
-    yields exactly the same values as ``uniform_block`` would in one call.
+    ``next_block(n)`` returns the next n doubles of every trial as an
+    (n_trials, n) array. One generator serves the whole set: for each row it
+    is repositioned at the trial's counter (``_seek``), which costs a state
+    set rather than a new generator per trial. Reading a horizon in blocks
+    therefore yields exactly what ``uniform_block`` gives in one call.
     """
 
     def __init__(self, seed: int, lane: int, trials: Sequence[int] | Iterable[int]):
-        self._gens = [generator_for(seed, lane, m) for m in trials]
+        self._trials = [_as_uint64(m, "trial") for m in trials]
+        self._gen = generator_for(seed, lane, 0)
+        self._bitgen = self._gen.bit_generator
+        self._state = self._bitgen.state
+        self._t0 = 0  # steps already read
 
     def __len__(self) -> int:
-        return len(self._gens)
+        return len(self._trials)
 
     def next_block(self, n: int) -> np.ndarray:
-        out = np.empty((len(self._gens), n))
-        for row, gen in enumerate(self._gens):
-            gen.random(n, out=out[row])
+        out = np.empty((len(self._trials), n))
+        for row, m in zip(out, self._trials):
+            _seek(self._bitgen, self._state, m, self._t0)
+            self._gen.random(n, out=row)
+        self._t0 += n
         return out
 
 

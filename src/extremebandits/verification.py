@@ -19,6 +19,7 @@ from . import engine
 from .construction import (
     AlphaSequence,
     BAssignment,
+    _omegas_betas,
     all_assignments,
     build_mixture,
     build_tuple,
@@ -323,14 +324,6 @@ def check_lemma7_8(
 # lemma10: averaging the index-i placement beats the mean-mass product.
 
 
-def _gamma_parts(a: AlphaSequence, b: BAssignment, i: int):
-    omegas = []
-    for k in range(1, a.K + 1):
-        off = [a.alphas[j - 1] for j in range(1, a.depth + 1) if j != i and b.values[j - 1] == k]
-        omegas.append(1.0 - math.fsum(off))
-    return omegas
-
-
 def lemma10_margin(a: AlphaSequence, b: BAssignment, i: int, counts, horizon: int) -> float:
     """log LHS - log RHS of the product-average comparison.
 
@@ -339,7 +332,7 @@ def lemma10_margin(a: AlphaSequence, b: BAssignment, i: int, counts, horizon: in
     """
     K = a.K
     alpha_i = a.alphas[i - 1]
-    omegas = _gamma_parts(a, b, i)
+    omegas, _ = _omegas_betas(a, b, i)
     lhs_terms = []
     for k_prime in range(1, K + 1):
         s = 0.0

@@ -464,10 +464,9 @@ def test_extreme_regret_monte_carlo_with_bootstrap():
 
 
 def _matrix_bootstrap_ci(events, n_trials, cap, threshold, seed, n_boot):
-    """Reference bootstrap: all n_boot x n_trials resample counts in one draw."""
-    trial_ids = np.concatenate([np.full(len(ts), m, dtype=np.int64) for m, (ts, _) in enumerate(events)])
-    ts = np.concatenate([t for t, _ in events])
-    deltas = np.concatenate([np.diff(vs, prepend=0.0) if len(vs) else vs for _, vs in events])
+    """Reference bootstrap: all n_boot x n_trials resample counts in one
+    draw, each resample a weighted scatter-add over the events."""
+    trial_ids, ts, deltas = events
     slack = 1e-12 * max(1.0, abs(threshold))
     rng = generator_for(seed, BOOT_LANE, 0)
     counts = rng.multinomial(n_trials, np.full(n_trials, 1.0 / n_trials), size=n_boot)
@@ -498,6 +497,34 @@ def test_bootstrap_ci_matches_matrix_draw(policy, arms, horizon, seed):
     assert engine._bootstrap_crossing_ci(events, n_trials, cap, oracle, seed, n_boot) == want
     rep = xb.extreme_regret(policy, arms, horizon, n_trials=n_trials, seed=seed, bootstrap=n_boot)
     assert (rep.ci_low, rep.ci_high) == want
+
+
+def _trajectory_events(policy, arms, t_max, n_trials, seed):
+    """Reference events: per trial, the steps where best_so_far strictly
+    falls (t = 1 included) and the falls, the first one from 0.0."""
+    trial_ids, ts, deltas = [], [], []
+    for m in range(n_trials):
+        best = xb.run_trajectory(policy, arms, t_max, seed, m).best_so_far
+        steps = np.concatenate(([0], np.nonzero(best[1:] < best[:-1])[0] + 1))
+        trial_ids.append(np.full(len(steps), m, dtype=np.int64))
+        ts.append(steps + 1)
+        deltas.append(np.diff(best[steps], prepend=0.0))
+    return tuple(np.concatenate(column) for column in (trial_ids, ts, deltas))
+
+
+@pytest.mark.parametrize("policy", [xb.EpsGreedyMinPolicy(epsilon=0.1), xb.UniformRandomPolicy()])
+def test_columnar_events_match_trajectories(policy):
+    # 70 trials span two chunks; the cap spans two blocks, so a trial's
+    # events come from both and are merged in time order.
+    n_trials, t_max, seed = CHUNK_TRIALS + 6, BLOCK_STEPS + 300, 3
+    _, events = engine._curve_and_events(policy, UNIFORM_VS_SURE, t_max, n_trials, seed, 1, True)
+    want = _trajectory_events(policy, UNIFORM_VS_SURE, t_max, n_trials, seed)
+    for got, ref in zip(events, want):
+        assert got.dtype == ref.dtype
+        assert np.array_equal(got, ref)
+    # Every trial has an event at t = 1, so one past the first block means
+    # a trial with events from both blocks.
+    assert np.any(events[1] > BLOCK_STEPS)
 
 
 def test_extreme_regret_honors_explicit_oracle_and_cap():

@@ -7,9 +7,13 @@ walker that shares no code with the DP or the simulation engine.
 
 import math
 
+import numpy as np
 import pytest
 
 import extremebandits as xb
+from extremebandits import oracles
+from extremebandits.distributions import icdf_arrays
+from extremebandits.rng import ARM_LANE, TrialStreams
 
 
 def brute_policy_value(policy, arms, horizon):
@@ -139,6 +143,38 @@ def test_greedy_monte_carlo_agrees_with_exact():
     mc = xb.greedy_oracle_value(arms, 5, mode="monte_carlo", n_trials=n, seed=7)
     # Values live in [0.1, 0.9]; 3 sigma with the worst-case spread.
     assert abs(mc - exact) <= 3 * 0.5 / math.sqrt(n)
+
+
+def _stepped_greedy_monte_carlo(arms, horizon, n_trials, seed):
+    """Reference: the greedy Monte Carlo oracle reading one column per step."""
+    support, idx, _ = oracles._joint_support(arms)
+    choices = oracles._greedy_choices(arms, support)
+    cums = [icdf_arrays(d)[1] for d in arms]
+    streams = TrialStreams(seed, ARM_LANE, range(n_trials))
+    state = np.full(n_trials, len(support), dtype=np.intp)
+    for _ in range(horizon):
+        u = streams.next_block(1)[:, 0]
+        arm_of = choices[state]
+        new_idx = np.empty(n_trials, dtype=np.intp)
+        for k in range(len(arms)):
+            mask = arm_of == k + 1
+            if np.any(mask):
+                new_idx[mask] = idx[k][np.searchsorted(cums[k], u[mask], side="left")]
+        np.minimum(state, new_idx, out=state)
+    return float(support[state].mean())
+
+
+@pytest.mark.parametrize("cells", [50 * 7, 50 * 40])
+def test_greedy_monte_carlo_blocks_match_stepped_reader(monkeypatch, cells):
+    # 50 trials: blocks of 7 steps (off the four-word Philox grid) or 40;
+    # the horizon crosses a block boundary either way.
+    monkeypatch.setattr(oracles, "GREEDY_BLOCK_CELLS", cells)
+    # Rare low atoms keep records coming, so every step moves the value.
+    rare = (xb.make_discrete([(0.0, 0.01), (0.5, 0.99)]), xb.make_discrete([(0.2, 0.05), (0.7, 0.95)]))
+    for arms in (xb.build_tuple(xb.desk_sequence(2), xb.BAssignment((1, 2))).arms, rare):
+        for horizon in (45, 60):
+            got = xb.greedy_oracle_value(arms, horizon, mode="monte_carlo", n_trials=50, seed=4)
+            assert got == _stepped_greedy_monte_carlo(arms, horizon, 50, 4)
 
 
 def test_greedy_monte_carlo_is_deterministic():

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from extremebandits.rng import (
     ARM_LANE,
@@ -55,6 +57,76 @@ def test_piecewise_blocks_match_one_shot():
         assert np.array_equal(np.hstack(blocks), whole)
 
 
+class _GeneratorPerTrial:
+    """Reference reader: one generator per trial, each read sequentially."""
+
+    def __init__(self, seed, lane, trials):
+        self._gens = [generator_for(seed, lane, m) for m in trials]
+
+    def next_block(self, n):
+        out = np.empty((len(self._gens), n))
+        for row, gen in enumerate(self._gens):
+            gen.random(n, out=out[row])
+        return out
+
+
+def _assert_same_blocks(seed, lane, trials, sizes):
+    streams = TrialStreams(seed, lane, trials)
+    ref = _GeneratorPerTrial(seed, lane, trials)
+    assert len(streams) == len(trials)
+    for n in sizes:
+        assert np.array_equal(streams.next_block(n), ref.next_block(n))
+
+
+@pytest.mark.parametrize(
+    "trials",
+    [range(3), [9, 2, 40, 2, 0], [2**64 - 1, 7, 2**40 + 5], []],
+)
+def test_trial_streams_match_generator_per_trial(trials):
+    # Block sizes that leave the read position at every offset within a
+    # four-word Philox block, including a zero-size read.
+    _assert_same_blocks(11, POLICY_LANE, list(trials), (1, 3, 4096, 0, 7, 300))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    trials=st.lists(st.integers(0, 2**64 - 1), max_size=6),
+    sizes=st.lists(st.integers(0, 70), max_size=6),
+)
+def test_trial_streams_property(seed, trials, sizes):
+    _assert_same_blocks(seed, ARM_LANE, trials, sizes)
+
+
+@pytest.mark.parametrize("bad", [-1, 2**64])
+def test_trial_streams_reject_bad_trial(bad):
+    with pytest.raises(ValueError):
+        TrialStreams(0, ARM_LANE, [0, bad])
+
+
+def _philox_reference(seed, lane, trial, t):
+    """The double at step t, from a Philox advanced to the step's block."""
+    bitgen = np.random.Philox(
+        key=np.array([seed, lane], dtype=np.uint64),
+        counter=np.array([0, trial, 0, 0], dtype=np.uint64),
+    )
+    bitgen.advance((t - 1) // 4)
+    word = int(bitgen.random_raw(4)[(t - 1) % 4])
+    return (word >> 11) * 2.0**-53
+
+
+def test_uniform_at_huge_t_reads_from_the_counter():
+    for t in (2**40, 2**40 + 1, 2**40 + 2, 2**40 + 3, 2**40 + 4):
+        r = RngStream(seed=4, trial=11, t=t, lane=CHECK_LANE)
+        assert r.uniform() == _philox_reference(4, CHECK_LANE, 11, t)
+        got = r.uniforms(6)
+        assert got[0] == r.uniform()
+        assert got[5] == _philox_reference(4, CHECK_LANE, 11, t + 5)
+    # The reference formula agrees with the generator at small t.
+    block = uniform_block(4, CHECK_LANE, 11, 9)
+    assert [_philox_reference(4, CHECK_LANE, 11, t) for t in range(1, 10)] == list(block)
+
+
 def test_randint_range_and_formula():
     for t in range(1, 200):
         r = RngStream(seed=1, trial=0, t=t, lane=POLICY_LANE)
@@ -83,6 +155,8 @@ def test_address_validation():
         RngStream(seed=-1, trial=0, t=1, lane=ARM_LANE)
     with pytest.raises(ValueError):
         RngStream(seed=0, trial=0, t=0, lane=ARM_LANE)
+    with pytest.raises(ValueError):
+        RngStream(seed=0, trial=0, t=4 * 2**64 + 1, lane=ARM_LANE)
 
 
 def test_at_rekeys_fields():
