@@ -41,14 +41,12 @@ from .distributions import (
     make_discrete,
     make_discrete_from_logs,
     point_mass,
-    quantile_transform,
     sample,
     survival,
     to_record,
     uniform01,
 )
 from .engine import (
-    GapReport,
     MinCurve,
     RegretReport,
     StreamResult,
@@ -57,7 +55,6 @@ from .engine import (
     estimate_min_curve,
     exact_min_curve,
     extreme_regret,
-    legacy_gap_ratio,
     parallel_map,
     run_trajectory,
     stream_curve,

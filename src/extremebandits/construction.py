@@ -23,9 +23,8 @@ from typing import Sequence
 import numpy as np
 from scipy.special import logsumexp
 
-from .distributions import Distribution, make_discrete_from_logs
+from .distributions import LOG_HALF, Distribution, make_discrete_from_logs
 from .errors import HorizonOverflow, IndexTooLarge, PropertyViolation
-from .logprob import LOG_HALF
 from .rng import RngStream
 
 CANONICAL = "canonical"

@@ -21,7 +21,6 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .errors import NonNormalized, NotContinuous, OutOfRange
-from .logprob import LOG_ZERO, exp_diff
 from .rng import RngStream
 
 DISCRETE = "discrete"
@@ -29,6 +28,19 @@ UNIFORM01 = "uniform01"
 
 # |sum of probs - 1| allowed at construction / load.
 NORMALIZATION_TOL = 1e-12
+
+LOG_ZERO = float("-inf")
+LOG_HALF = math.log(0.5)
+
+
+def _exp_diff(log_a: float, log_b: float) -> float:
+    """e^log_a - e^log_b for log_a >= log_b, accurate when nearly equal."""
+    if log_b == LOG_ZERO:
+        return math.exp(log_a)
+    if log_b > log_a:
+        raise ValueError("exp_diff expects log_a >= log_b")
+    # e^a - e^b = e^a * (1 - e^(b-a)) = e^a * (-expm1(b-a))
+    return math.exp(log_a) * (-math.expm1(log_b - log_a))
 
 
 @dataclass(frozen=True)
@@ -128,7 +140,7 @@ def log_survivals(d: Distribution) -> np.ndarray:
     for j in range(1, m):
         out[j] = logsumexp(logs[j:])
     # Survival is nonincreasing by construction; enforce against logsumexp
-    # rounding so downstream exp_diff never sees an inversion.
+    # rounding so downstream _exp_diff never sees an inversion.
     np.minimum.accumulate(out, out=out)
     return out
 
@@ -176,7 +188,7 @@ def expected_min(d: Distribution, horizon: int) -> float:
     m = len(ls)
     for j in range(m):
         lo = ls[j + 1] * horizon if j + 1 < m else LOG_ZERO
-        acc += d.support[j] * exp_diff(ls[j] * horizon, lo)
+        acc += d.support[j] * _exp_diff(ls[j] * horizon, lo)
     return acc
 
 
@@ -236,15 +248,6 @@ def extreme_quantile_prob(alpha: float, horizon: int) -> float:
     if alpha == 1.0:
         return 1.0
     return -math.expm1(horizon * math.log1p(-alpha))
-
-
-def quantile_transform(d: Distribution, x: float) -> float:
-    """CDF value F(x); defined for continuous arms only."""
-    if d.is_discrete:
-        raise NotContinuous("quantile transform requires a continuous distribution")
-    if not 0.0 <= x <= 1.0:
-        raise OutOfRange(f"value {x} outside [0, 1]")
-    return x
 
 
 def to_record(d: Distribution) -> dict:

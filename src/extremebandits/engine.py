@@ -4,15 +4,17 @@ The load-bearing contract: the cost observed at (trial, t) is the t-th
 uniform of that trial's arm stream pushed through the chosen arm's inverse
 CDF, and the policy's coin at (trial, t) is the t-th uniform of the trial's
 policy stream. Every execution path below (sequential reference, vectorized
-kernels, streaming evaluator) reads the same counter addresses, so they all
-produce bit-identical trajectories and the worker count cannot change any
-number. Monte Carlo reductions always run over fixed 64-trial chunks in
-trial order for the same reason. The epsilon-greedy kernel steps from
-record to record rather than one time step at a time. The scripted exact
-curve is a cumulative sum and product over chunks of steps, with each
-discrete arm's survivals computed once. Change points of the trial minima
-are kept as columns (trial, step, delta), and each bootstrap resample is one
-sparse matrix-vector product over them.
+kernels) reads the same counter addresses, so they all produce bit-identical
+trajectories and the worker count cannot change any number. Every Monte
+Carlo curve comes from one block loop, ``_running_minima``, over fixed
+64-trial chunks, and the chunk sums of each step are added in trial order
+from zero: ``estimate_min_curve``, ``extreme_regret`` and the early-stopping
+``stream_curve`` agree bit for bit on the same trials. The epsilon-greedy
+kernel steps from record to record rather than one time step at a time. The
+scripted exact curve is a cumulative sum and product over chunks of steps,
+with each discrete arm's survivals computed once. Change points of the trial
+minima are kept as columns (trial, step, delta), and each bootstrap resample
+is one sparse matrix-vector product over them.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 
 from .distributions import Distribution, expected_min, log_survivals, _check_horizon
-from .errors import BudgetExceeded, ConfigInvalid, ContinuousArm
+from .errors import BudgetExceeded, ConfigInvalid, ContinuousArm, UnknownPolicy
 from .policies import (
     EpsGreedyMinPolicy,
     Policy,
@@ -351,10 +353,27 @@ class _GenericKernel(_KernelBase):
         return v
 
 
+def _arm_script(policy, K, t_max) -> np.ndarray | None:
+    """The policy's arms for t = 1..t_max as int64, None if it adapts.
+
+    An arm outside 1..K raises UnknownPolicy: left unchecked it would read
+    unwritten memory in the kernel and index past the arms in the exact curve.
+    """
+    script = policy.arm_script(K, t_max)
+    if script is None:
+        return None
+    script = np.asarray(script, dtype=np.int64)
+    bad = (script < 1) | (script > K)
+    if np.any(bad):
+        arm = int(script[np.argmax(bad)])
+        raise UnknownPolicy(f"policy {policy.name} plays arm {arm}, but the bandit has arms 1..{K}")
+    return script
+
+
 def _make_kernel(policy, arms, seed, trials, t_max) -> _KernelBase:
-    script = policy.arm_script(len(arms), t_max)
+    script = _arm_script(policy, len(arms), t_max)
     if script is not None:
-        return _ScriptedKernel(policy, arms, seed, trials, np.asarray(script, dtype=np.int64))
+        return _ScriptedKernel(policy, arms, seed, trials, script)
     if isinstance(policy, UniformRandomPolicy):
         return _RandomKernel(policy, arms, seed, trials)
     if isinstance(policy, EpsGreedyMinPolicy):
@@ -366,6 +385,29 @@ def _make_kernel(policy, arms, seed, trials, t_max) -> _KernelBase:
 
 # ---------------------------------------------------------------------------
 # Monte Carlo curves.
+
+
+def _running_minima(policy, arms, seed, trials, t_max):
+    """Yield (t0, v) for consecutive time blocks of the given trials.
+
+    v is the (len(trials) x bt) running minimum at steps t0+1..t0+bt,
+    carried over from the blocks before. This is the one place a kernel is
+    stepped, so every Monte Carlo curve sees the same blocks.
+    """
+    kernel = _make_kernel(policy, arms, seed, trials, t_max)
+    carry = np.full(len(trials), math.inf)
+    for t0 in range(0, t_max, BLOCK_STEPS):
+        v = kernel.next_block(min(BLOCK_STEPS, t_max - t0))
+        np.minimum.accumulate(v, axis=1, out=v)
+        np.minimum(v, carry[:, None], out=v)
+        carry = v[:, -1].copy()
+        yield t0, v
+
+
+def _trial_chunks(first: int, n_trials: int) -> list[range]:
+    """Trials first..first+n_trials-1 in consecutive CHUNK_TRIALS-trial ranges."""
+    end = first + n_trials
+    return [range(s, min(s + CHUNK_TRIALS, end)) for s in range(first, end, CHUNK_TRIALS)]
 
 
 @dataclass(frozen=True)
@@ -387,18 +429,13 @@ class MinCurve:
 
 
 def _curve_chunk(job):
-    policy, arms, seed, start, size, t_max, want_events = job
-    kernel = _make_kernel(policy, arms, seed, range(start, start + size), t_max)
+    policy, arms, seed, trials, t_max, want_events = job
     sums = np.zeros(t_max)
     sumsq = np.zeros(t_max)
     rows, steps, vals = [], [], []
-    carry = np.full(size, math.inf)
-    t0 = 0
-    while t0 < t_max:
-        bt = min(BLOCK_STEPS, t_max - t0)
-        v = kernel.next_block(bt)
-        np.minimum.accumulate(v, axis=1, out=v)
-        np.minimum(v, carry[:, None], out=v)
+    carry = np.full(len(trials), math.inf)
+    for t0, v in _running_minima(policy, arms, seed, trials, t_max):
+        bt = v.shape[1]
         sums[t0 : t0 + bt] += v.sum(axis=0)
         sumsq[t0 : t0 + bt] += (v * v).sum(axis=0)
         if want_events:
@@ -407,9 +444,8 @@ def _curve_chunk(job):
             rows.append(r)
             steps.append(t0 + 1 + c)
             vals.append(v[r, c])
-        carry = v[:, -1].copy()
-        t0 += bt
-    return sums, sumsq, _columnar_events(rows, steps, vals, start) if want_events else None
+            carry = v[:, -1]
+    return sums, sumsq, _columnar_events(rows, steps, vals, trials.start) if want_events else None
 
 
 def _columnar_events(rows, ts, vals, start):
@@ -432,12 +468,7 @@ def _curve_and_events(policy, arms, t_max, n_trials, seed, workers, want_events)
     _check_horizon(t_max)
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
-    jobs = []
-    start = 0
-    while start < n_trials:
-        size = min(CHUNK_TRIALS, n_trials - start)
-        jobs.append((policy, arms, seed, start, size, t_max, want_events))
-        start += size
+    jobs = [(policy, arms, seed, trials, t_max, want_events) for trials in _trial_chunks(0, n_trials)]
     sums = np.zeros(t_max)
     sumsq = np.zeros(t_max)
     pieces = []
@@ -493,31 +524,31 @@ def stream_curve(
     stop_threshold: float | None = None,
     trial_offset: int = 0,
 ) -> StreamResult:
-    """Single-pass mean curve that can stop as soon as it dips to a threshold.
+    """Mean running-minimum curve that can stop once it dips to a threshold.
 
-    All trials advance together through time blocks (no trial chunking), so
-    the result is independent of any worker setting by construction. raw is
+    The trials are split into the same 64-trial chunks as in
+    estimate_min_curve, stepped in lockstep one time block at a time, and
+    each block's chunk sums are added in chunk order from zero, so raw is
+    bit-equal to estimate_min_curve's over the same trials. raw is
     truncated at the block where the crossing happened.
     """
     _check_horizon(t_max)
-    kernel = _make_kernel(policy, arms, seed, range(trial_offset, trial_offset + n_trials), t_max)
+    if n_trials < 1:
+        raise ValueError("n_trials must be >= 1")
+    chunks = [
+        _running_minima(policy, arms, seed, trials, t_max) for trials in _trial_chunks(trial_offset, n_trials)
+    ]
     pieces = []
-    carry = np.full(n_trials, math.inf)
-    t0 = 0
-    while t0 < t_max:
-        bt = min(BLOCK_STEPS, t_max - t0)
-        v = kernel.next_block(bt)
-        np.minimum.accumulate(v, axis=1, out=v)
-        np.minimum(v, carry[:, None], out=v)
-        mean = v.sum(axis=0) / n_trials
+    for t0 in range(0, t_max, BLOCK_STEPS):
+        # next() one chunk at a time: a single chunk's block is held at once.
+        mean = sum(next(chunk)[1].sum(axis=0) for chunk in chunks) / n_trials
         pieces.append(mean)
         if stop_threshold is not None:
             hits = np.nonzero(mean <= stop_threshold)[0]
             if hits.size:
-                raw = np.concatenate(pieces)
-                return StreamResult(raw=raw, crossed_at=t0 + int(hits[0]) + 1, t_evaluated=t0 + bt)
-        carry = v[:, -1].copy()
-        t0 += bt
+                return StreamResult(
+                    raw=np.concatenate(pieces), crossed_at=t0 + int(hits[0]) + 1, t_evaluated=t0 + len(mean)
+                )
     return StreamResult(raw=np.concatenate(pieces), crossed_at=None, t_evaluated=t_max)
 
 
@@ -535,13 +566,13 @@ def exact_min_curve(policy: Policy, arms: tuple[Distribution, ...], t_max: int) 
     discrete arms and a leaf budget.
     """
     _check_horizon(t_max)
-    script = policy.arm_script(len(arms), t_max)
+    script = _arm_script(policy, len(arms), t_max)
     if script is not None:
-        raw = _scripted_exact_curve(np.asarray(script, dtype=np.int64), arms, t_max)
+        raw = _scripted_exact_curve(script, arms, t_max)
     elif policy.is_deterministic:
         raw = _tree_exact_curve(policy, arms, t_max)
     else:
-        raise ValueError("exact curves need a scripted or deterministic policy")
+        raise UnknownPolicy(f"exact curves need a scripted or deterministic policy, not {policy.name}")
     return MinCurve(
         t_max=t_max,
         estimates=np.minimum.accumulate(raw),
@@ -744,57 +775,4 @@ def _bootstrap_crossing_ci(events, n_trials, cap, threshold, seed, n_boot):
     return (
         int(lo) if math.isfinite(lo) else None,
         int(hi) if math.isfinite(hi) else None,
-    )
-
-
-@dataclass(frozen=True)
-class GapReport:
-    """Horizon-T comparison against the single-armed oracle: the additive
-    excess gap = policy - oracle (>= 0 up to noise) and the ratio."""
-
-    horizon: int
-    mode: str
-    policy_value: float
-    oracle_value: float
-    oracle_arm: int
-    gap: float
-    ratio: float
-    n_trials: int
-    seed: int | None
-
-
-def legacy_gap_ratio(
-    policy: Policy,
-    arms: tuple[Distribution, ...],
-    horizon: int,
-    mode: str = "exact",
-    n_trials: int = 1000,
-    seed: int = 0,
-    workers: int | None = None,
-) -> GapReport:
-    from .oracles import single_armed_oracle
-
-    oracle = single_armed_oracle(arms, horizon)
-    if mode == "exact":
-        value = float(exact_min_curve(policy, arms, horizon).raw[-1])
-        n_used, seed_used = 0, None
-    elif mode == "monte_carlo":
-        value = float(estimate_min_curve(policy, arms, horizon, n_trials, seed, workers).raw[-1])
-        n_used, seed_used = n_trials, seed
-    else:
-        raise ValueError(f"mode must be exact or monte_carlo, got {mode!r}")
-    if oracle.value > 0.0:
-        ratio = value / oracle.value
-    else:
-        ratio = math.inf if value > 0.0 else math.nan
-    return GapReport(
-        horizon=horizon,
-        mode=mode,
-        policy_value=value,
-        oracle_value=oracle.value,
-        oracle_arm=oracle.arm,
-        gap=value - oracle.value,
-        ratio=ratio,
-        n_trials=n_used,
-        seed=seed_used,
     )

@@ -45,7 +45,9 @@ class HorizonOverflow(ExtremeBanditsError):
 
 
 class UnknownPolicy(ExtremeBanditsError):
-    """Baseline policy name not recognized."""
+    """Policy not recognized, or not usable where it was asked for: a name
+    with no baseline, an arm outside the bandit, or a randomized policy
+    given to the exact evaluator."""
 
 
 class ContinuousArm(ExtremeBanditsError):

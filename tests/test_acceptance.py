@@ -72,8 +72,8 @@ def test_03_sure_then_coin_clock(criterion):
         p = 0.5
         arms = (xb.make_discrete([(0.0, 1 - p), (1.0, p)]), xb.point_mass(1.0))
         policy = xb.SequenceThenArmPolicy(prefix=(2,), tail_arm=1)
-        gap = xb.legacy_gap_ratio(policy, arms, 10, mode="exact")
-        assert gap.ratio == pytest.approx(1.0 / p, rel=1e-12)
+        value = xb.exact_min_curve(policy, arms, 10).raw[-1]
+        assert value / xb.single_armed_oracle(arms, 10).value == pytest.approx(1.0 / p, rel=1e-12)
         for horizon in range(1, 21):
             rep = xb.extreme_regret(policy, arms, horizon, mode="exact")
             assert rep.t_prime == horizon + 1

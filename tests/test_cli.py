@@ -182,6 +182,27 @@ def test_bad_input_exit_2(case, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+# Policies the engine rejects: the message comes from the engine, after the
+# output directory has been made.
+BAD_POLICIES = {
+    "fixed_arm_outside_bandit": ["simulate", "--policy", "fixed_arm", "--arm", "5"],
+    "fixed_arm_outside_bandit_exact": ["simulate", "--policy", "fixed_arm", "--arm", "5", "--mode", "exact"],
+    "prefix_arm_outside_bandit": ["simulate", "--policy", "arm_sequence", "--prefix", "3"],
+    "randomized_policy_exact": ["simulate", "--policy", "eps_greedy_min", "--mode", "exact"],
+    "randomized_policy_exact_regret": ["regret", "--policy", "uniform_random", "--mode", "exact"],
+}
+
+
+@pytest.mark.parametrize("case", BAD_POLICIES)
+def test_bad_policy_exit_2(case, tmp_path, capsys):
+    common = ["--bandit-preset", "uniform_vs_sure", "--horizon", "5", "--trials", "3", "--out-dir", str(tmp_path)]
+    rc = cli.main(BAD_POLICIES[case] + common)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: UnknownPolicy: ")
+    assert err.count("\n") == 1
+
+
 def test_unknown_check_exit_2(tmp_path, capsys):
     rc = cli.main(["verify", "lemma99", "--seed", "0", "--out-dir", str(tmp_path)])
     assert rc == 2

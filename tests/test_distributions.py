@@ -184,12 +184,6 @@ def test_extreme_quantile_prob():
         xb.extreme_quantile_prob(-0.1, 3)
 
 
-def test_quantile_transform():
-    assert xb.quantile_transform(xb.uniform01(), 0.3) == 0.3
-    with pytest.raises(xb.NotContinuous):
-        xb.quantile_transform(xb.make_discrete([(0.5, 1.0)]), 0.3)
-
-
 def test_record_roundtrip():
     d = xb.make_discrete([(0.1, 0.2), (0.4, 0.3), (0.9, 0.5)])
     back = xb.from_record(xb.to_record(d))

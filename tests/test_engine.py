@@ -364,20 +364,39 @@ def test_tree_exact_curve_deep_horizon():
 
 
 def test_exact_curve_rejects_randomized_policies():
-    with pytest.raises(ValueError):
+    with pytest.raises(xb.UnknownPolicy):
         xb.exact_min_curve(xb.UniformRandomPolicy(), HALF_VS_RISKY, 4)
-    with pytest.raises(ValueError):
+    with pytest.raises(xb.UnknownPolicy):
         xb.exact_min_curve(xb.EpsGreedyMinPolicy(epsilon=0.5), HALF_VS_RISKY, 4)
 
 
+@pytest.mark.parametrize(
+    "policy",
+    [xb.FixedArmPolicy(arm=3), xb.SequenceThenArmPolicy(prefix=(1, 3), tail_arm=1)],
+    ids=["fixed_arm", "arm_sequence"],
+)
+def test_scripted_arm_outside_bandit_rejected(policy):
+    with pytest.raises(xb.UnknownPolicy, match="arms 1..2"):
+        xb.exact_min_curve(policy, UNIFORM_VS_SURE, 5)
+    with pytest.raises(xb.UnknownPolicy, match="arms 1..2"):
+        xb.estimate_min_curve(policy, UNIFORM_VS_SURE, 5, n_trials=3)
+    # An arm past the horizon is never played.
+    if isinstance(policy, xb.SequenceThenArmPolicy):
+        assert xb.exact_min_curve(policy, UNIFORM_VS_SURE, 1).raw[0] == 0.5
+
+
 def test_stream_curve_matches_estimate_bitwise():
+    # One chunk, a partial second chunk, and many chunks whose sums are
+    # added in the same order on both paths. Uniform costs, so the order of
+    # the additions shows in the last bits.
     policy = xb.EpsGreedyMinPolicy(epsilon=0.1)
-    n, t_max, seed = 64, 200, 11
-    est = xb.estimate_min_curve(policy, HALF_VS_RISKY, t_max, n_trials=n, seed=seed)
-    stream = xb.stream_curve(policy, HALF_VS_RISKY, n_trials=n, seed=seed, t_max=t_max)
-    assert np.array_equal(stream.raw, est.raw)
-    assert stream.crossed_at is None
-    assert stream.t_evaluated == t_max
+    t_max, seed = 200, 11
+    for n in (CHUNK_TRIALS, 80, 400, 1000):
+        est = xb.estimate_min_curve(policy, UNIFORM_VS_SURE, t_max, n_trials=n, seed=seed)
+        stream = xb.stream_curve(policy, UNIFORM_VS_SURE, n_trials=n, seed=seed, t_max=t_max)
+        assert np.array_equal(stream.raw, est.raw), n
+        assert stream.crossed_at is None
+        assert stream.t_evaluated == t_max
 
 
 def test_stream_curve_early_stop_matches_crossing_time():
@@ -463,9 +482,10 @@ def test_extreme_regret_monte_carlo_with_bootstrap():
     assert (again.ci_low, again.ci_high) == (rep.ci_low, rep.ci_high)
 
 
-def _matrix_bootstrap_ci(events, n_trials, cap, threshold, seed, n_boot):
+def _matrix_bootstrap_crossings(events, n_trials, cap, threshold, seed, n_boot):
     """Reference bootstrap: all n_boot x n_trials resample counts in one
-    draw, each resample a weighted scatter-add over the events."""
+    draw, each resample a weighted scatter-add over the events; returns
+    every resample's crossing time."""
     trial_ids, ts, deltas = events
     slack = 1e-12 * max(1.0, abs(threshold))
     rng = generator_for(seed, BOOT_LANE, 0)
@@ -476,8 +496,7 @@ def _matrix_bootstrap_ci(events, n_trials, cap, threshold, seed, n_boot):
         mean = np.cumsum(np.bincount(ts - 1, weights=weights, minlength=cap)) / n_trials
         hits = np.nonzero(mean <= threshold + slack)[0]
         crossings[i] = hits[0] + 1 if hits.size else math.inf
-    lo, hi = np.quantile(crossings, [0.025, 0.975], method="nearest")
-    return (int(lo) if math.isfinite(lo) else None, int(hi) if math.isfinite(hi) else None)
+    return crossings
 
 
 @pytest.mark.parametrize(
@@ -493,10 +512,21 @@ def test_bootstrap_ci_matches_matrix_draw(policy, arms, horizon, seed):
     cap = 4 * len(arms) * horizon
     oracle = min(xb.expected_min(d, horizon) for d in arms)
     _, events = engine._curve_and_events(policy, arms, cap, n_trials, seed, 1, True)
-    want = _matrix_bootstrap_ci(events, n_trials, cap, oracle, seed, n_boot)
-    assert engine._bootstrap_crossing_ci(events, n_trials, cap, oracle, seed, n_boot) == want
+    want = _matrix_bootstrap_crossings(events, n_trials, cap, oracle, seed, n_boot)
+    lo, hi = np.quantile(want, [0.025, 0.975], method="nearest")
+    want_ci = (int(lo) if math.isfinite(lo) else None, int(hi) if math.isfinite(hi) else None)
+    # Every resample's crossing, not only the two percentiles: the engine
+    # hands its crossings to np.quantile.
+    seen = []
+    quantile = np.quantile
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np, "quantile", lambda a, *args, **kw: seen.append(np.array(a)) or quantile(a, *args, **kw))
+        got_ci = engine._bootstrap_crossing_ci(events, n_trials, cap, oracle, seed, n_boot)
+    assert len(seen) == 1
+    assert np.array_equal(seen[0], want)
+    assert got_ci == want_ci
     rep = xb.extreme_regret(policy, arms, horizon, n_trials=n_trials, seed=seed, bootstrap=n_boot)
-    assert (rep.ci_low, rep.ci_high) == want
+    assert (rep.ci_low, rep.ci_high) == want_ci
 
 
 def _trajectory_events(policy, arms, t_max, n_trials, seed):
@@ -538,22 +568,13 @@ def test_extreme_regret_honors_explicit_oracle_and_cap():
         xb.extreme_regret(xb.FixedArmPolicy(arm=1), UNIFORM_VS_SURE, 5, cap=0)
 
 
-def test_legacy_gap_ratio_uniform_case():
+def test_exact_curve_over_single_armed_oracle():
     policy = xb.SequenceThenArmPolicy(prefix=(2,), tail_arm=1)
-    rep = xb.legacy_gap_ratio(policy, UNIFORM_VS_SURE, 10, mode="exact")
-    assert rep.policy_value == pytest.approx(0.1, rel=1e-12)
-    assert rep.oracle_value == pytest.approx(1.0 / 11.0, rel=1e-12)
-    assert rep.oracle_arm == 1
-    assert rep.ratio == pytest.approx(1.1, rel=1e-12)
-    assert rep.gap == pytest.approx(1.0 / 110.0, rel=1e-9)
-
-
-def test_legacy_gap_ratio_zero_oracle():
-    arms = (xb.point_mass(0.0), xb.point_mass(1.0))
-    rep = xb.legacy_gap_ratio(xb.FixedArmPolicy(arm=2), arms, 3, mode="exact")
-    assert rep.ratio == math.inf
-    rep0 = xb.legacy_gap_ratio(xb.FixedArmPolicy(arm=1), arms, 3, mode="exact")
-    assert math.isnan(rep0.ratio)
+    value = xb.exact_min_curve(policy, UNIFORM_VS_SURE, 10).raw[-1]
+    oracle = xb.single_armed_oracle(UNIFORM_VS_SURE, 10)
+    assert value == pytest.approx(0.1, rel=1e-12)
+    assert oracle.value == pytest.approx(1.0 / 11.0, rel=1e-12)
+    assert oracle.arm == 1
 
 
 def test_run_trajectory_replays_through_policy_api():
