@@ -9,10 +9,12 @@ trajectories and the worker count cannot change any number. Every Monte
 Carlo curve comes from one block loop, ``_running_minima``, over fixed
 64-trial chunks, and the chunk sums of each step are added in trial order
 from zero: ``estimate_min_curve``, ``extreme_regret`` and the early-stopping
-``stream_curve`` agree bit for bit on the same trials. The epsilon-greedy
-kernel steps from record to record rather than one time step at a time. The
-scripted exact curve is a cumulative sum and product over chunks of steps,
-with each discrete arm's survivals computed once. Change points of the trial
+``stream_curve`` agree bit for bit on the same trials. A kernel owes that
+loop the running minimum, not every cost: the epsilon-greedy kernel steps
+from record to record (draws that beat their arm's best so far) and returns
+only the records' costs, +inf elsewhere. The scripted exact curve is a
+cumulative sum and product over chunks of steps, with each discrete arm's
+survivals computed once. Change points of the trial
 minima are kept as columns (trial, step, delta), and each bootstrap resample
 is one sparse matrix-vector product over them.
 """
@@ -90,7 +92,7 @@ def run_trajectory(policy: Policy, arms: tuple[Distribution, ...], horizon: int,
     chosen = np.empty(horizon, dtype=np.int64)
     values = np.empty(horizon)
     for t in range(1, horizon + 1):
-        arm = policy.choose(state, t, Coin(pol_row[t - 1]))
+        arm = _checked_arm(policy, policy.choose(state, t, Coin(pol_row[t - 1])), K)
         value = _icdf_one(caches[arm - 1], arm_row[t - 1])
         chosen[t - 1] = arm
         values[t - 1] = value
@@ -123,8 +125,12 @@ def _icdf_block(cache, u: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Vectorized kernels. Each produces the (n_trials x block) cost matrix for
-# consecutive time blocks, reading exactly the addressed uniforms.
+# Vectorized kernels, reading exactly the addressed uniforms. next_block(bt)
+# returns the (n_trials x bt) block of the next bt steps, whose running
+# minimum, carried across blocks, equals that of the trials' costs: every
+# cell where a trial's minimum can fall holds its cost, and any other cell
+# may hold +inf. The epsilon-greedy kernel returns only its records; the
+# others return every cost, which satisfies the same contract.
 
 
 class _KernelBase:
@@ -181,22 +187,24 @@ class _RandomKernel(_KernelBase):
 
 
 class _EpsGreedyKernel(_KernelBase):
-    """Epsilon-greedy, stepped from record to record.
+    """Epsilon-greedy, stepped from record to record; returns only records.
 
-    The greedy arm changes only when some arm's best-so-far strictly
-    improves (a record). Between records every step's arm is known ahead:
-    the explored arm on an explore coin, the greedy arm otherwise. So one
-    round finds the next record of every row still active in the block by
-    comparing each cell's uniform with the improvement threshold of its arm;
-    the arms of the block are then filled forward from the greedy changes
-    and each value is drawn once from its chosen arm. Bit-identical to
-    stepping one column at a time: the same uniforms, the same inverse CDF,
-    the lowest-index argmin and the same explored-arm truncation.
+    A record is a draw that strictly improves its arm's best-so-far. The
+    greedy arm changes only at a record, so between records every step's arm
+    is known ahead: the explored arm on an explore coin, the greedy arm
+    otherwise. One round finds the next record of every row still active in
+    the block by comparing each cell's uniform with the improvement threshold
+    of its arm. Only record cells are drawn through the inverse CDF; every
+    other cell is +inf, which is allowed because it costs at least its arm's
+    best, hence at least the trial's running minimum. The running minima are
+    bit-identical to stepping one column at a time: the same uniforms, the
+    same inverse CDF, the lowest-index argmin and the same explored-arm
+    truncation.
     """
 
     def __init__(self, policy, arms, seed, trials):
         super().__init__(policy, arms, seed, trials)
-        self.code = np.min_scalar_type(-self.K)  # smallest signed type for arm changes
+        self.code = np.min_scalar_type(self.K - 1)  # smallest type for an arm index
         self.bests = np.full((self.n, self.K), math.inf)
         self.greedy = np.zeros(self.n, dtype=self.code)
         # floors[j] is the largest u whose inverse CDF falls below atom j.
@@ -215,19 +223,7 @@ class _EpsGreedyKernel(_KernelBase):
         if self.policy.epsilon > 0.0:
             explore, explore_arm = self._coins(bt)
         self.t0 += bt
-        arm = self._greedy_arms(u, explore, explore_arm)
-        if explore is not None:
-            np.copyto(arm, explore_arm, where=explore)
-        # Draw every cell from the most common greedy arm, then redraw the
-        # cells of the other arms: one full inverse CDF instead of K. v may
-        # be u itself; each cell is read before it is overwritten.
-        base = int(np.argmax(np.bincount(self.greedy, minlength=self.K)))
-        v = _icdf_block(self.caches[base], u)
-        for k in range(self.K):
-            if k != base:
-                mask = arm == k
-                v[mask] = _icdf_block(self.caches[k], u[mask])
-        return v
+        return self._records(u, explore, explore_arm)
 
     def _coins(self, bt):
         """Explore flags and explored arms (0-based) of the next policy block."""
@@ -241,12 +237,11 @@ class _EpsGreedyKernel(_KernelBase):
         np.minimum(p, K - 1, out=p)
         return explore, p.astype(self.code)
 
-    def _greedy_arms(self, u, explore, explore_arm):
+    def _records(self, u, explore, explore_arm):
         """Step through the block's records, updating bests, thr and greedy,
-        and return the greedy arm in force at every cell."""
+        and return the block with each record's cost and +inf elsewhere."""
         n, bt = u.shape
-        start = self.greedy.copy()
-        turns = np.zeros((n, bt), dtype=self.code)  # greedy arm change taking effect at a cell
+        v = np.full((n, bt), math.inf)
         cols = np.arange(bt)
         rows = np.arange(n)
         pos = np.zeros(n, dtype=np.intp)  # first column not yet stepped
@@ -272,19 +267,13 @@ class _EpsGreedyKernel(_KernelBase):
             for k in range(self.K):
                 r, ck = rows[a == k], c[a == k]
                 if r.size:
-                    self.bests[r, k] = _icdf_block(self.caches[k], u[r, ck])
+                    v[r, ck] = self.bests[r, k] = _icdf_block(self.caches[k], u[r, ck])
                     self.thr[r, k] = self._threshold(k, self.bests[r, k])
-            old = self.greedy[rows]
-            new = np.argmin(self.bests[rows], axis=1).astype(self.code)
-            self.greedy[rows] = new
-            moved = (new != old) & (c + 1 < bt)
-            turns[rows[moved], c[moved] + 1] = new[moved] - old[moved]
+            self.greedy[rows] = np.argmin(self.bests[rows], axis=1)
             pos = c + 1
             keep = pos < bt
             rows, pos = rows[keep], pos[keep]
-        arm = np.cumsum(turns, axis=1, dtype=self.code, out=turns)
-        arm += start[:, None]
-        return arm
+        return v
 
 
 class _QuantileKernel(_KernelBase):
@@ -345,7 +334,7 @@ class _GenericKernel(_KernelBase):
         for c in range(bt):
             t = self.t0 + c + 1
             for row in range(self.n):
-                arm = self.policy.choose(self.states[row], t, Coin(p[row, c]))
+                arm = _checked_arm(self.policy, self.policy.choose(self.states[row], t, Coin(p[row, c])), self.K)
                 value = _icdf_one(self.caches[arm - 1], u[row, c])
                 v[row, c] = value
                 self.states[row] = self.policy.observe(self.states[row], arm, value)
@@ -353,20 +342,24 @@ class _GenericKernel(_KernelBase):
         return v
 
 
-def _arm_script(policy, K, t_max) -> np.ndarray | None:
-    """The policy's arms for t = 1..t_max as int64, None if it adapts.
+def _checked_arm(policy, arm, K) -> int:
+    """arm itself if it is in 1..K, else UnknownPolicy: unchecked, arm 0
+    would play the last arm, an arm above K would index past the arms, and
+    the scripted kernel would read unwritten memory for either."""
+    if not 1 <= arm <= K:
+        raise UnknownPolicy(f"policy {policy.name} plays arm {arm}, but the bandit has arms 1..{K}")
+    return arm
 
-    An arm outside 1..K raises UnknownPolicy: left unchecked it would read
-    unwritten memory in the kernel and index past the arms in the exact curve.
-    """
+
+def _arm_script(policy, K, t_max) -> np.ndarray | None:
+    """The policy's arms for t = 1..t_max as int64, None if it adapts."""
     script = policy.arm_script(K, t_max)
     if script is None:
         return None
     script = np.asarray(script, dtype=np.int64)
     bad = (script < 1) | (script > K)
     if np.any(bad):
-        arm = int(script[np.argmax(bad)])
-        raise UnknownPolicy(f"policy {policy.name} plays arm {arm}, but the bandit has arms 1..{K}")
+        _checked_arm(policy, int(script[np.argmax(bad)]), K)
     return script
 
 
@@ -646,7 +639,7 @@ def _tree_exact_curve(policy, arms, t_max):
     stack = [(policy.initial_state(len(arms)), 0, 0.0, math.inf)]
     while stack:
         state, t, log_p, cur_min = stack.pop()
-        arm = policy.choose(state, t + 1, None)
+        arm = _checked_arm(policy, policy.choose(state, t + 1, None), len(arms))
         d = arms[arm - 1]
         children = []
         for v, lv in zip(d.support, d.log_probs):

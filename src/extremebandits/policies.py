@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -90,6 +91,14 @@ class Policy:
 
     def to_record(self) -> dict:
         return {"name": self.name, "params": {}}
+
+
+def _check_int(name: str, value, low: int) -> None:
+    """Raise UnknownPolicy unless value is an integer (not a bool) >= low."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise UnknownPolicy(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise UnknownPolicy(f"{name} must be >= {low}, got {value}")
 
 
 def _lowest_argmin(values: Sequence[float]) -> int:
@@ -173,8 +182,7 @@ class QuantileThresholdPolicy(Policy):
     def __post_init__(self):
         if not 0.0 < self.q < 1.0:
             raise UnknownPolicy(f"q must be in (0, 1), got {self.q}")
-        if self.explore_every < 1:
-            raise UnknownPolicy(f"explore_every must be >= 1, got {self.explore_every}")
+        _check_int("explore_every", self.explore_every, 1)
 
     def _initial_memory(self, K):
         return ((),) * K
@@ -212,8 +220,7 @@ class FixedArmPolicy(Policy):
     name = "fixed_arm"
 
     def __post_init__(self):
-        if self.arm < 1:
-            raise UnknownPolicy(f"arm indices are 1-based, got {self.arm}")
+        _check_int("arm", self.arm, 1)
 
     def choose(self, state, t, rng=None):
         return self.arm
@@ -239,8 +246,9 @@ class SequenceThenArmPolicy(Policy):
     name = "arm_sequence"
 
     def __post_init__(self):
-        if self.tail_arm < 1 or any(a < 1 for a in self.prefix):
-            raise UnknownPolicy("arm indices are 1-based")
+        _check_int("tail_arm", self.tail_arm, 1)
+        for a in self.prefix:
+            _check_int("prefix arm", a, 1)
 
     def choose(self, state, t, rng=None):
         if t <= len(self.prefix):
@@ -283,6 +291,10 @@ class TablePolicy(Policy):
     def __post_init__(self):
         if self.mapping is None:
             object.__setattr__(self, "mapping", {})
+        _check_int("depth", self.depth, 0)
+        _check_int("default_arm", self.default_arm, 1)
+        for arm in self.mapping.values():
+            _check_int("table arm", arm, 1)
         missing = [h for h in _histories(len(self.alphabet), self.depth) if h not in self.mapping]
         if missing:
             raise UnknownPolicy(f"table not total: missing {len(missing)} histories, e.g. {missing[0]}")
@@ -383,6 +395,6 @@ def make_policy(name: str, params: dict | None = None) -> Policy:
             return SequenceThenArmPolicy(**params)
         if name == "table":
             return table_from_record(params)
-    except TypeError as exc:
+    except (TypeError, KeyError) as exc:
         raise UnknownPolicy(f"bad params for policy {name!r}: {exc}") from exc
     raise UnknownPolicy(f"unknown policy {name!r}")

@@ -203,6 +203,39 @@ def test_bad_policy_exit_2(case, tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+# Policy params from a config file that the policy or the engine rejects.
+BAD_POLICY_PARAMS = {
+    "table_default_arm_0": ("table", {"alphabet": [0.5, 0.0, 1.0], "depth": 0, "entries": [], "default_arm": 0}),
+    "table_default_arm_outside_bandit": (
+        "table",
+        {"alphabet": [0.5, 0.0, 1.0], "depth": 0, "entries": [], "default_arm": 3},
+    ),
+    "table_arm_0": ("table", {"alphabet": [0.5], "depth": 1, "entries": [{"history": [], "arm": 0}]}),
+    "table_arm_float": ("table", {"alphabet": [0.5], "depth": 1, "entries": [{"history": [], "arm": 1.0}]}),
+    "table_depth_bool": ("table", {"alphabet": [0.5], "depth": True, "entries": [{"history": [], "arm": 1}]}),
+    "table_without_entries": ("table", {"alphabet": [0.5], "depth": 0}),
+    "fixed_arm_float": ("fixed_arm", {"arm": 1.5}),
+    "fixed_arm_bool": ("fixed_arm", {"arm": True}),
+    "prefix_arm_float": ("arm_sequence", {"prefix": [1.0], "tail_arm": 1}),
+    "tail_arm_bool": ("arm_sequence", {"prefix": [1], "tail_arm": True}),
+    "explore_every_float": ("quantile_threshold", {"explore_every": 2.5}),
+}
+
+
+@pytest.mark.parametrize("mode", ["exact", "monte_carlo"])
+@pytest.mark.parametrize("case", BAD_POLICY_PARAMS)
+def test_bad_policy_params_exit_2(case, mode, tmp_path, capsys):
+    name, params = BAD_POLICY_PARAMS[case]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"policy": {"name": name, "params": params}}))
+    argv = ["simulate", "--config", str(cfg), "--bandit-preset", "half_vs_risky", "--horizon", "3"]
+    rc = cli.main(argv + ["--trials", "3", "--mode", mode, "--out-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: UnknownPolicy: ")
+    assert err.count("\n") == 1
+
+
 def test_unknown_check_exit_2(tmp_path, capsys):
     rc = cli.main(["verify", "lemma99", "--seed", "0", "--out-dir", str(tmp_path)])
     assert rc == 2

@@ -131,6 +131,19 @@ def test_eps_greedy_kernel_matches_stepped_reference(arms, epsilon):
     assert np.array_equal(got.se, want.se)
     assert np.array_equal(stream().raw, _stepped(stream).raw)
 
+    # Per trial, not only the sums: the record kernel's +inf cells must
+    # leave every running minimum of both chunks and both blocks unchanged.
+    def minima():
+        out = []
+        for trials in engine._trial_chunks(0, kw["n_trials"]):
+            out += [v.copy() for _, v in engine._running_minima(policy, arms, kw["seed"], trials, kw["t_max"])]
+        return out
+
+    got_blocks, want_blocks = minima(), _stepped(minima)
+    assert [b.shape for b in got_blocks] == [(64, BLOCK_STEPS), (64, 7), (16, BLOCK_STEPS), (16, 7)]
+    for g, w in zip(got_blocks, want_blocks, strict=True):
+        assert np.array_equal(g, w)
+
 
 def test_eps_greedy_record_on_last_block_column():
     policy = xb.EpsGreedyMinPolicy(epsilon=0.1)
@@ -380,9 +393,24 @@ def test_scripted_arm_outside_bandit_rejected(policy):
         xb.exact_min_curve(policy, UNIFORM_VS_SURE, 5)
     with pytest.raises(xb.UnknownPolicy, match="arms 1..2"):
         xb.estimate_min_curve(policy, UNIFORM_VS_SURE, 5, n_trials=3)
+    with pytest.raises(xb.UnknownPolicy, match="arms 1..2"):
+        xb.run_trajectory(policy, UNIFORM_VS_SURE, 5, seed=0)
     # An arm past the horizon is never played.
     if isinstance(policy, xb.SequenceThenArmPolicy):
         assert xb.exact_min_curve(policy, UNIFORM_VS_SURE, 1).raw[0] == 0.5
+
+
+def test_adaptive_arm_outside_bandit_rejected():
+    # The table plays arm 3 of two once it has seen 0.0: the tree walker,
+    # the generic kernel and the sequential reference all reject it.
+    tab = xb.TablePolicy(alphabet=(0.0, 0.5, 1.0), mapping={(): 2, (0,): 3, (1,): 1, (2,): 1}, depth=2)
+    with pytest.raises(xb.UnknownPolicy, match="plays arm 3, but the bandit has arms 1..2"):
+        xb.exact_min_curve(tab, HALF_VS_RISKY, 3)
+    with pytest.raises(xb.UnknownPolicy, match="plays arm 3"):
+        xb.estimate_min_curve(tab, HALF_VS_RISKY, 3, n_trials=64, seed=0)
+    with pytest.raises(xb.UnknownPolicy, match="plays arm 3"):
+        for trial in range(64):
+            xb.run_trajectory(tab, HALF_VS_RISKY, 3, seed=0, trial=trial)
 
 
 def test_stream_curve_matches_estimate_bitwise():

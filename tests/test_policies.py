@@ -160,7 +160,7 @@ def test_table_policy_off_alphabet_absorbs():
 
 
 def test_table_policy_requires_total_mapping():
-    # Arm ids cannot be range-checked at construction (K is unknown until a
+    # Arms above K cannot be rejected at construction (K is unknown until a
     # state exists), but totality over the history domain is enforced.
     with pytest.raises(xb.UnknownPolicy):
         xb.TablePolicy(
