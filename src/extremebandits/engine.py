@@ -12,7 +12,10 @@ from zero: ``estimate_min_curve``, ``extreme_regret`` and the early-stopping
 ``stream_curve`` agree bit for bit on the same trials. A kernel owes that
 loop the running minimum, not every cost: the epsilon-greedy kernel steps
 from record to record (draws that beat their arm's best so far) and returns
-only the records' costs, +inf elsewhere. The scripted exact curve is a
+only the records' costs, +inf elsewhere. A trial whose minimum has reached
+the lowest cost any arm can return is finished: its minimum can no longer
+fall, so from the next block on it draws nothing and the loop carries its
+minimum forward. The scripted exact curve is a
 cumulative sum and product over chunks of steps, with each discrete arm's
 survivals computed once. Change points of the trial
 minima are kept as columns (trial, step, delta), and each bootstrap resample
@@ -125,12 +128,15 @@ def _icdf_block(cache, u: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Vectorized kernels, reading exactly the addressed uniforms. next_block(bt)
-# returns the (n_trials x bt) block of the next bt steps, whose running
-# minimum, carried across blocks, equals that of the trials' costs: every
-# cell where a trial's minimum can fall holds its cost, and any other cell
-# may hold +inf. The epsilon-greedy kernel returns only its records; the
-# others return every cost, which satisfies the same contract.
+# Vectorized kernels, reading exactly the addressed uniforms. next_block(bt,
+# live) steps only the live rows (ascending indices into the trials, a
+# subset of the previous call's live rows) and returns their (len(live) x bt)
+# block of the next bt steps, whose running minimum, carried across blocks,
+# equals that of the trials' costs: every cell where a trial's minimum can
+# fall holds its cost, and any other cell may hold +inf. A row left out is a
+# finished trial: it draws nothing, and its state is never read again. The
+# epsilon-greedy kernel returns only its records; the others return every
+# cost, which satisfies the same contract.
 
 
 class _KernelBase:
@@ -146,12 +152,12 @@ class _KernelBase:
         self._trials = trials
         self.t0 = 0  # steps already consumed
 
-    def pol_block(self, bt):
+    def pol_block(self, bt, live):
         if self._pol_streams is None:
             self._pol_streams = TrialStreams(self._seed, POLICY_LANE, self._trials)
-        return self._pol_streams.next_block(bt)
+        return self._pol_streams.next_block(bt, live)
 
-    def next_block(self, bt: int) -> np.ndarray:
+    def next_block(self, bt: int, live: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
 
@@ -160,8 +166,8 @@ class _ScriptedKernel(_KernelBase):
         super().__init__(policy, arms, seed, trials)
         self.script = script
 
-    def next_block(self, bt):
-        u = self.arm_streams.next_block(bt)
+    def next_block(self, bt, live):
+        u = self.arm_streams.next_block(bt, live)
         piece = self.script[self.t0 : self.t0 + bt]
         self.t0 += bt
         v = np.empty_like(u)
@@ -173,9 +179,9 @@ class _ScriptedKernel(_KernelBase):
 
 
 class _RandomKernel(_KernelBase):
-    def next_block(self, bt):
-        u = self.arm_streams.next_block(bt)
-        p = self.pol_block(bt)
+    def next_block(self, bt, live):
+        u = self.arm_streams.next_block(bt, live)
+        p = self.pol_block(bt, live)
         self.t0 += bt
         arm = np.minimum((p * self.K).astype(np.int64), self.K - 1)
         v = np.empty_like(u)
@@ -217,18 +223,19 @@ class _EpsGreedyKernel(_KernelBase):
             return np.nextafter(best, -math.inf)
         return self.floors[k][np.searchsorted(self.caches[k][0], best, side="left")]
 
-    def next_block(self, bt):
-        u = self.arm_streams.next_block(bt)
+    def next_block(self, bt, live):
+        u = self.arm_streams.next_block(bt, live)
         explore = explore_arm = None
         if self.policy.epsilon > 0.0:
-            explore, explore_arm = self._coins(bt)
+            explore, explore_arm = self._coins(bt, live)
         self.t0 += bt
-        return self._records(u, explore, explore_arm)
+        return self._records(u, explore, explore_arm, live)
 
-    def _coins(self, bt):
-        """Explore flags and explored arms (0-based) of the next policy block."""
+    def _coins(self, bt, live):
+        """Explore flags and explored arms (0-based) of the live rows' next
+        policy block."""
         eps, K = self.policy.epsilon, self.K
-        p = self.pol_block(bt)
+        p = self.pol_block(bt, live)
         explore = p < eps
         # min(int(p / eps * K), K - 1), clamped before the cast so the
         # small-int conversion never sees an out-of-range value.
@@ -237,18 +244,22 @@ class _EpsGreedyKernel(_KernelBase):
         np.minimum(p, K - 1, out=p)
         return explore, p.astype(self.code)
 
-    def _records(self, u, explore, explore_arm):
+    def _records(self, u, explore, explore_arm, live):
         """Step through the block's records, updating bests, thr and greedy,
-        and return the block with each record's cost and +inf elsewhere."""
+        and return the block with each record's cost and +inf elsewhere.
+
+        u, explore, explore_arm and the returned block hold the live rows
+        only: ``at`` indexes them, and ``live[at]`` the kernel's state."""
         n, bt = u.shape
         v = np.full((n, bt), math.inf)
         cols = np.arange(bt)
-        rows = np.arange(n)
+        at = np.arange(n)
         pos = np.zeros(n, dtype=np.intp)  # first column not yet stepped
-        while rows.size:  # one round per record of the busiest row
+        while at.size:  # one round per record of the busiest row
             lo = int(pos.min())
+            rows = live[at]
             g = self.greedy[rows]
-            sub = slice(None) if rows.size == n else rows  # views, not copies
+            sub = slice(None) if at.size == n else at  # views, not copies
             uu = u[sub, lo:]
             if explore is None:
                 hit = uu <= self.thr[rows, g][:, None]
@@ -260,19 +271,20 @@ class _EpsGreedyKernel(_KernelBase):
             if pos.max() > lo:
                 hit &= cols[lo:] >= pos[:, None]
             first = hit.argmax(axis=1)
-            found = np.nonzero(hit[np.arange(rows.size), first])[0]
+            found = np.nonzero(hit[np.arange(at.size), first])[0]
             first = first[found]
             a = g[found] if explore is None else played[found, first]
-            rows, c = rows[found], lo + first
+            at, rows, c = at[found], rows[found], lo + first
             for k in range(self.K):
-                r, ck = rows[a == k], c[a == k]
+                sel = a == k
+                i, r, ck = at[sel], rows[sel], c[sel]
                 if r.size:
-                    v[r, ck] = self.bests[r, k] = _icdf_block(self.caches[k], u[r, ck])
+                    v[i, ck] = self.bests[r, k] = _icdf_block(self.caches[k], u[i, ck])
                     self.thr[r, k] = self._threshold(k, self.bests[r, k])
             self.greedy[rows] = np.argmin(self.bests[rows], axis=1)
             pos = c + 1
             keep = pos < bt
-            rows, pos = rows[keep], pos[keep]
+            at, pos = at[keep], pos[keep]
         return v
 
 
@@ -282,40 +294,41 @@ class _QuantileKernel(_KernelBase):
         self.supports = [c[0] for c in self.caches]
         self.hists = [np.zeros((self.n, len(s)), dtype=np.int64) for s in self.supports]
         self.counts = np.zeros((self.n, self.K), dtype=np.int64)
-        self.rows = np.arange(self.n)
 
-    def _scores(self):
+    def _scores(self, live):
         q = self.policy.q
-        scores = np.full((self.n, self.K), math.inf)
+        counts = self.counts[live]
+        scores = np.full((len(live), self.K), math.inf)
         for k in range(self.K):
-            seen = self.counts[:, k] > 0
+            seen = counts[:, k] > 0
             if not np.any(seen):
                 continue
-            target = np.maximum(np.ceil(q * self.counts[:, k]), 1.0)
-            cum = np.cumsum(self.hists[k], axis=1)
+            target = np.maximum(np.ceil(q * counts[:, k]), 1.0)
+            cum = np.cumsum(self.hists[k][live], axis=1)
             idx = np.argmax(cum >= target[:, None], axis=1)
             vals = self.supports[k][idx]
             scores[seen, k] = vals[seen]
         return scores
 
-    def next_block(self, bt):
+    def next_block(self, bt, live):
         every = self.policy.explore_every
-        u = self.arm_streams.next_block(bt)
+        u = self.arm_streams.next_block(bt, live)
         lidx = np.stack([np.searchsorted(c[1], u, side="left") for c in self.caches])
+        at = np.arange(len(live))
         v = np.empty_like(u)
         for c in range(bt):
             t = self.t0 + c + 1
             if (t - 1) % every == 0:
-                arm = np.full(self.n, ((t - 1) // every) % self.K, dtype=np.int64)
+                arm = np.full(len(live), ((t - 1) // every) % self.K, dtype=np.int64)
             else:
-                arm = np.argmin(self._scores(), axis=1)
-            li = lidx[arm, self.rows, c]
+                arm = np.argmin(self._scores(live), axis=1)
+            li = lidx[arm, at, c]
             for k in range(self.K):
                 mask = arm == k
                 if np.any(mask):
-                    np.add.at(self.hists[k], (self.rows[mask], li[mask]), 1)
+                    np.add.at(self.hists[k], (live[mask], li[mask]), 1)
                     v[mask, c] = self.supports[k][li[mask]]
-            self.counts[self.rows, arm] += 1
+            self.counts[live, arm] += 1
         self.t0 += bt
         return v
 
@@ -327,16 +340,16 @@ class _GenericKernel(_KernelBase):
         super().__init__(policy, arms, seed, trials)
         self.states = [policy.initial_state(self.K) for _ in trials]
 
-    def next_block(self, bt):
-        u = self.arm_streams.next_block(bt)
-        p = self.pol_block(bt)
+    def next_block(self, bt, live):
+        u = self.arm_streams.next_block(bt, live)
+        p = self.pol_block(bt, live)
         v = np.empty_like(u)
         for c in range(bt):
             t = self.t0 + c + 1
-            for row in range(self.n):
-                arm = _checked_arm(self.policy, self.policy.choose(self.states[row], t, Coin(p[row, c])), self.K)
-                value = _icdf_one(self.caches[arm - 1], u[row, c])
-                v[row, c] = value
+            for i, row in enumerate(live):
+                arm = _checked_arm(self.policy, self.policy.choose(self.states[row], t, Coin(p[i, c])), self.K)
+                value = _icdf_one(self.caches[arm - 1], u[i, c])
+                v[i, c] = value
                 self.states[row] = self.policy.observe(self.states[row], arm, value)
         self.t0 += bt
         return v
@@ -385,16 +398,31 @@ def _running_minima(policy, arms, seed, trials, t_max):
 
     v is the (len(trials) x bt) running minimum at steps t0+1..t0+bt,
     carried over from the blocks before. This is the one place a kernel is
-    stepped, so every Monte Carlo curve sees the same blocks.
+    stepped, so every Monte Carlo curve sees the same blocks. A trial whose
+    minimum has reached the lowest cost any arm can return is finished: the
+    kernel no longer steps it, and its rows hold the carried minimum, which
+    is what stepping it would have produced.
     """
     kernel = _make_kernel(policy, arms, seed, trials, t_max)
+    lowest = min(d.support[0] if d.is_discrete else 0.0 for d in arms)
     carry = np.full(len(trials), math.inf)
     for t0 in range(0, t_max, BLOCK_STEPS):
-        v = kernel.next_block(min(BLOCK_STEPS, t_max - t0))
-        np.minimum.accumulate(v, axis=1, out=v)
-        np.minimum(v, carry[:, None], out=v)
+        bt = min(BLOCK_STEPS, t_max - t0)
+        live = np.flatnonzero(carry > lowest)  # only shrinks: carry only falls
+        if live.size == len(trials):  # the kernel's block is v: no copy
+            v = _carried_minima(kernel.next_block(bt, live), carry)
+        else:
+            v = np.repeat(carry[:, None], bt, axis=1)
+            if live.size:
+                v[live] = _carried_minima(kernel.next_block(bt, live), carry[live])
         carry = v[:, -1].copy()
         yield t0, v
+
+
+def _carried_minima(v, carry):
+    """Running minima of the block v, in place, continuing from carry."""
+    np.minimum.accumulate(v, axis=1, out=v)
+    return np.minimum(v, carry[:, None], out=v)
 
 
 def _trial_chunks(first: int, n_trials: int) -> list[range]:

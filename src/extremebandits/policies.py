@@ -101,6 +101,12 @@ def _check_int(name: str, value, low: int) -> None:
         raise UnknownPolicy(f"{name} must be >= {low}, got {value}")
 
 
+def _check_real(name: str, value) -> None:
+    """Raise UnknownPolicy unless value is a real number (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise UnknownPolicy(f"{name} must be a real number, got {value!r}")
+
+
 def _lowest_argmin(values: Sequence[float]) -> int:
     best_idx = 0
     for idx in range(1, len(values)):
@@ -146,6 +152,7 @@ class EpsGreedyMinPolicy(Policy):
     name = "eps_greedy_min"
 
     def __post_init__(self):
+        _check_real("epsilon", self.epsilon)
         if not 0.0 <= self.epsilon <= 1.0:
             raise UnknownPolicy(f"epsilon must be in [0, 1], got {self.epsilon}")
 
@@ -180,6 +187,7 @@ class QuantileThresholdPolicy(Policy):
     name = "quantile_threshold"
 
     def __post_init__(self):
+        _check_real("q", self.q)
         if not 0.0 < self.q < 1.0:
             raise UnknownPolicy(f"q must be in (0, 1), got {self.q}")
         _check_int("explore_every", self.explore_every, 1)

@@ -125,10 +125,13 @@ class TrialStreams:
     """Stateful block reader over a fixed set of trial streams.
 
     ``next_block(n)`` returns the next n doubles of every trial as an
-    (n_trials, n) array. One generator serves the whole set: for each row it
-    is repositioned at the trial's counter (``_seek``), which costs a state
-    set rather than a new generator per trial. Reading a horizon in blocks
-    therefore yields exactly what ``uniform_block`` gives in one call.
+    (n_trials, n) array; ``next_block(n, rows)`` returns only the given rows
+    (indices into the trial set), in that order. One generator serves the
+    whole set: for each row it is repositioned at the trial's counter
+    (``_seek``), which costs a state set rather than a new generator per
+    trial. Reading a horizon in blocks therefore yields exactly what
+    ``uniform_block`` gives in one call, and a row left out of a block costs
+    nothing and leaves the row's later blocks unchanged.
     """
 
     def __init__(self, seed: int, lane: int, trials: Sequence[int] | Iterable[int]):
@@ -141,9 +144,10 @@ class TrialStreams:
     def __len__(self) -> int:
         return len(self._trials)
 
-    def next_block(self, n: int) -> np.ndarray:
-        out = np.empty((len(self._trials), n))
-        for row, m in zip(out, self._trials):
+    def next_block(self, n: int, rows: Sequence[int] | None = None) -> np.ndarray:
+        trials = self._trials if rows is None else [self._trials[r] for r in rows]
+        out = np.empty((len(trials), n))
+        for row, m in zip(out, trials):
             _seek(self._bitgen, self._state, m, self._t0)
             self._gen.random(n, out=row)
         self._t0 += n

@@ -219,6 +219,10 @@ BAD_POLICY_PARAMS = {
     "prefix_arm_float": ("arm_sequence", {"prefix": [1.0], "tail_arm": 1}),
     "tail_arm_bool": ("arm_sequence", {"prefix": [1], "tail_arm": True}),
     "explore_every_float": ("quantile_threshold", {"explore_every": 2.5}),
+    "epsilon_bool": ("eps_greedy_min", {"epsilon": True}),
+    "epsilon_string": ("eps_greedy_min", {"epsilon": "0.1"}),
+    "q_bool": ("quantile_threshold", {"q": False}),
+    "q_string": ("quantile_threshold", {"q": "0.25"}),
 }
 
 

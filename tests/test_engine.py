@@ -10,7 +10,7 @@ from extremebandits import engine
 from extremebandits.engine import BLOCK_STEPS, CHUNK_TRIALS
 from extremebandits.distributions import log_survival_at
 from extremebandits.errors import ConfigInvalid
-from extremebandits.rng import BOOT_LANE, POLICY_LANE, generator_for
+from extremebandits.rng import BOOT_LANE, POLICY_LANE, TrialStreams, generator_for
 
 HALF_VS_RISKY = (
     xb.point_mass(0.5),
@@ -29,12 +29,37 @@ MIX3 = (
 # t = BLOCK_STEPS, the last column of the first block: a record that moves
 # the greedy arm across the block boundary.
 LATE_LOW = (xb.point_mass(0.5), xb.make_discrete([(0.0, 0.01), (1.0, 0.99)]))
+# A rare 0.0 atom under rare low atoms on both arms: trials reach the floor
+# at scattered times, and records keep coming for those that have not.
+GRADED = (
+    xb.make_discrete([(0.0, 0.002), (0.2, 0.01), (0.6, 0.988)]),
+    xb.make_discrete([(0.1, 0.004), (0.4, 0.05), (0.8, 0.946)]),
+)
 ARM_SETS = {"half_vs_risky": HALF_VS_RISKY, "uniform_vs_sure": UNIFORM_VS_SURE, "tied": TIED, "mix3": MIX3}
+# Adaptive, deterministic and not vectorized: runs on the generic kernel.
+TABLE = xb.TablePolicy(
+    alphabet=(0.0, 0.5, 1.0),
+    mapping={(): 2, (0,): 1, (1,): 2, (2,): 1},
+    depth=2,
+    default_arm=2,
+)
 
 
-def _manual_raw(policy, arms, t_max, n, seed):
-    rows = [xb.run_trajectory(policy, arms, t_max, seed, trial).best_so_far for trial in range(n)]
-    return np.vstack(rows).sum(axis=0) / n
+def _trajectory_minima(policy, arms, t_max, n, seed):
+    """(n x t_max) running minima of the sequential reference, which steps
+    every trial to t_max."""
+    return np.vstack([xb.run_trajectory(policy, arms, t_max, seed, trial).best_so_far for trial in range(n)])
+
+
+def _manual_raw(policy, arms, t_max, n, seed, best=None):
+    """Mean of the reference running minima, summed chunk by chunk in trial
+    order, as the engine adds its chunk sums."""
+    if best is None:
+        best = _trajectory_minima(policy, arms, t_max, n, seed)
+    sums = np.zeros(t_max)
+    for trials in engine._trial_chunks(0, n):
+        sums += best[trials.start : trials.stop].sum(axis=0)
+    return sums / n
 
 
 KERNEL_POLICIES = [
@@ -67,14 +92,65 @@ def test_generic_kernel_matches_sequential_bitwise():
     curve = xb.estimate_min_curve(policy, UNIFORM_VS_SURE, t_max, n_trials=n, seed=seed)
     assert np.array_equal(curve.raw, _manual_raw(policy, UNIFORM_VS_SURE, t_max, n, seed))
 
-    tab = xb.TablePolicy(
-        alphabet=(0.0, 0.5, 1.0),
-        mapping={(): 2, (0,): 1, (1,): 2, (2,): 1},
-        depth=2,
-        default_arm=2,
-    )
-    curve_t = xb.estimate_min_curve(tab, HALF_VS_RISKY, t_max, n_trials=n, seed=seed)
-    assert np.array_equal(curve_t.raw, _manual_raw(tab, HALF_VS_RISKY, t_max, n, seed))
+    curve_t = xb.estimate_min_curve(TABLE, HALF_VS_RISKY, t_max, n_trials=n, seed=seed)
+    assert np.array_equal(curve_t.raw, _manual_raw(TABLE, HALF_VS_RISKY, t_max, n, seed))
+
+
+def _assert_matches_reference_per_trial(policy, arms, t_max, n, seed):
+    best = _trajectory_minima(policy, arms, t_max, n, seed)
+    curve = xb.estimate_min_curve(policy, arms, t_max, n_trials=n, seed=seed)
+    assert np.array_equal(curve.raw, _manual_raw(policy, arms, t_max, n, seed, best))
+    for trials in engine._trial_chunks(0, n):
+        blocks = [v.copy() for _, v in engine._running_minima(policy, arms, seed, trials, t_max)]
+        assert np.array_equal(np.hstack(blocks), best[trials.start : trials.stop])
+
+
+# Both bandits have a 0.0 atom, the lowest cost there is: a trial that draws
+# it is finished and is no longer stepped. Across the policies, some trials
+# finish within the first block and some never do.
+@pytest.mark.parametrize("arms", [LATE_LOW, HALF_VS_RISKY], ids=["late_low", "half_vs_risky"])
+@pytest.mark.parametrize("policy", KERNEL_POLICIES, ids=lambda p: f"{p.name}-{p.to_record()['params']}")
+def test_finished_trials_match_sequential_reference(policy, arms):
+    # Two chunks and two blocks; the reference never skips a step.
+    _assert_matches_reference_per_trial(policy, arms, BLOCK_STEPS + 7, CHUNK_TRIALS + 6, 40)
+
+
+@pytest.mark.parametrize("arms", [LATE_LOW, HALF_VS_RISKY, GRADED], ids=["late_low", "half_vs_risky", "graded"])
+@pytest.mark.parametrize("policy", [*KERNEL_POLICIES, TABLE], ids=lambda p: f"{p.name}-{p.to_record()['params']}")
+def test_finished_trials_in_short_blocks(policy, arms, monkeypatch):
+    # 64-step blocks: on GRADED trials finish in every block, so the live
+    # rows of later blocks are a sparse subset of the chunk, and the live
+    # trials still set records that move the greedy arm. Short blocks also
+    # keep the generic kernel, which steps each trial in Python, quick.
+    monkeypatch.setattr(engine, "BLOCK_STEPS", 64)
+    _assert_matches_reference_per_trial(policy, arms, 8 * 64 + 7, CHUNK_TRIALS + 6, 40)
+
+
+def test_finished_trials_draw_nothing(monkeypatch):
+    reads = []
+    next_block = TrialStreams.next_block
+
+    def spy(self, n, rows=None):
+        out = next_block(self, n, rows)
+        reads.append((n, out.shape[0]))
+        return out
+
+    monkeypatch.setattr(TrialStreams, "next_block", spy)
+    n, t_max, seed = CHUNK_TRIALS, 3 * BLOCK_STEPS, 40
+    policy = xb.EpsGreedyMinPolicy(epsilon=0.1)
+    blocks = [v.copy() for _, v in engine._running_minima(policy, LATE_LOW, seed, range(n), t_max)]
+    live = [n] + [int(np.sum(v[:, -1] > 0.0)) for v in blocks[:-1]]
+    assert 0 < live[1] < n  # some trials finish in block 1, some do not
+    # Per block, one arm and one policy read, of the live rows only.
+    assert reads == [(BLOCK_STEPS, m) for m in live for _ in range(2)]
+
+    # Round robin finishes every trial on HALF_VS_RISKY within the first
+    # block; the kernel is not called after that.
+    reads.clear()
+    blocks = [v for _, v in engine._running_minima(xb.RoundRobinPolicy(), HALF_VS_RISKY, seed, range(n), t_max)]
+    assert [b.shape for b in blocks] == [(n, BLOCK_STEPS)] * 3
+    assert np.all(blocks[1] == 0.0) and np.all(blocks[2] == 0.0)
+    assert reads == [(BLOCK_STEPS, n)]
 
 
 class _SteppedEpsGreedyKernel(engine._KernelBase):
@@ -83,25 +159,25 @@ class _SteppedEpsGreedyKernel(engine._KernelBase):
     def __init__(self, policy, arms, seed, trials):
         super().__init__(policy, arms, seed, trials)
         self.bests = np.full((self.n, self.K), math.inf)
-        self.rows = np.arange(self.n)
 
-    def next_block(self, bt):
+    def next_block(self, bt, live):
         eps = self.policy.epsilon
-        u = self.arm_streams.next_block(bt)
+        u = self.arm_streams.next_block(bt, live)
         vk = np.stack([engine._icdf_block(self.caches[k], u) for k in range(self.K)])
         if eps > 0.0:
-            p = self.pol_block(bt)
+            p = self.pol_block(bt, live)
             explore = p < eps
             explore_arm = np.minimum((p / eps * self.K).astype(np.int64), self.K - 1)
         self.t0 += bt
+        at = np.arange(len(live))
         v = np.empty_like(u)
         for c in range(bt):
-            arm = np.argmin(self.bests, axis=1)
+            arm = np.argmin(self.bests[live], axis=1)
             if eps > 0.0:
                 np.copyto(arm, explore_arm[:, c], where=explore[:, c])
-            vals = vk[arm, self.rows, c]
+            vals = vk[arm, at, c]
             v[:, c] = vals
-            np.minimum.at(self.bests, (self.rows, arm), vals)
+            np.minimum.at(self.bests, (live, arm), vals)
         return v
 
 
@@ -570,19 +646,30 @@ def _trajectory_events(policy, arms, t_max, n_trials, seed):
     return tuple(np.concatenate(column) for column in (trial_ids, ts, deltas))
 
 
-@pytest.mark.parametrize("policy", [xb.EpsGreedyMinPolicy(epsilon=0.1), xb.UniformRandomPolicy()])
-def test_columnar_events_match_trajectories(policy):
+@pytest.mark.parametrize(
+    ("policy", "arms"),
+    [
+        (xb.EpsGreedyMinPolicy(epsilon=0.1), UNIFORM_VS_SURE),
+        (xb.UniformRandomPolicy(), UNIFORM_VS_SURE),
+        (xb.EpsGreedyMinPolicy(epsilon=0.1), LATE_LOW),
+        (xb.UniformRandomPolicy(), LATE_LOW),
+    ],
+    ids=["policy0", "policy1", "policy0-late_low", "policy1-late_low"],
+)
+def test_columnar_events_match_trajectories(policy, arms):
     # 70 trials span two chunks; the cap spans two blocks, so a trial's
-    # events come from both and are merged in time order.
+    # events come from both and are merged in time order. On LATE_LOW most
+    # trials are finished after the first block and add no event after it.
     n_trials, t_max, seed = CHUNK_TRIALS + 6, BLOCK_STEPS + 300, 3
-    _, events = engine._curve_and_events(policy, UNIFORM_VS_SURE, t_max, n_trials, seed, 1, True)
-    want = _trajectory_events(policy, UNIFORM_VS_SURE, t_max, n_trials, seed)
+    _, events = engine._curve_and_events(policy, arms, t_max, n_trials, seed, 1, True)
+    want = _trajectory_events(policy, arms, t_max, n_trials, seed)
     for got, ref in zip(events, want):
         assert got.dtype == ref.dtype
         assert np.array_equal(got, ref)
-    # Every trial has an event at t = 1, so one past the first block means
-    # a trial with events from both blocks.
-    assert np.any(events[1] > BLOCK_STEPS)
+    if arms is UNIFORM_VS_SURE:
+        # Every trial has an event at t = 1, so one past the first block
+        # means a trial with events from both blocks.
+        assert np.any(events[1] > BLOCK_STEPS)
 
 
 def test_extreme_regret_honors_explicit_oracle_and_cap():

@@ -88,6 +88,14 @@ def test_eps_greedy_validates_epsilon():
         xb.EpsGreedyMinPolicy(epsilon=1.5)
     with pytest.raises(xb.UnknownPolicy):
         xb.EpsGreedyMinPolicy(epsilon=-0.1)
+    # Real numbers only: a bool would pass the range check as 0 or 1.
+    for bad in (True, "0.1", None):
+        with pytest.raises(xb.UnknownPolicy, match="epsilon must be a real number"):
+            xb.EpsGreedyMinPolicy(epsilon=bad)
+        with pytest.raises(xb.UnknownPolicy, match="q must be a real number"):
+            xb.QuantileThresholdPolicy(q=bad)
+    assert xb.EpsGreedyMinPolicy(epsilon=1).epsilon == 1
+    assert xb.QuantileThresholdPolicy(q=np.float64(0.5)).q == 0.5
 
 
 def test_quantile_threshold_schedule_and_score():

@@ -98,6 +98,26 @@ def test_trial_streams_property(seed, trials, sizes):
     _assert_same_blocks(seed, ARM_LANE, trials, sizes)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    trials=st.lists(st.integers(0, 2**64 - 1), max_size=6),
+    data=st.data(),
+)
+def test_trial_streams_read_row_subsets(seed, trials, data):
+    # Each block reads an arbitrary subset of rows: it equals those rows of
+    # the full block, and the rows it skipped read the same later on.
+    sub = TrialStreams(seed, ARM_LANE, trials)
+    full = TrialStreams(seed, ARM_LANE, trials)
+    pick = st.sets(st.integers(0, len(trials) - 1)) if trials else st.just(set())
+    for n in data.draw(st.lists(st.integers(0, 70), max_size=5), label="sizes"):
+        rows = np.array(sorted(data.draw(pick, label="rows")), dtype=np.intp)
+        got = sub.next_block(n, rows)
+        assert got.shape == (len(rows), n)
+        assert np.array_equal(got, full.next_block(n)[rows])
+    assert np.array_equal(sub.next_block(9), full.next_block(9))
+
+
 @pytest.mark.parametrize("bad", [-1, 2**64])
 def test_trial_streams_reject_bad_trial(bad):
     with pytest.raises(ValueError):
