@@ -402,7 +402,10 @@ def _merge_config(args: argparse.Namespace) -> dict:
     if command in ("simulate", "regret", "construct"):
         bandit = dict(config.get("bandit") or {})
         if getattr(args, "arms_json", None):
-            bandit["arms"] = json.loads(args.arms_json)
+            try:
+                bandit["arms"] = json.loads(args.arms_json)
+            except ValueError as exc:
+                raise ConfigInvalid(f"--arms-json is not JSON: {exc}") from None
         for key, flag in [
             ("preset", "bandit_preset"),
             ("p", "p"),

@@ -18,8 +18,9 @@ fall, so from the next block on it draws nothing and the loop carries its
 minimum forward. The scripted exact curve is a
 cumulative sum and product over chunks of steps, with each discrete arm's
 survivals computed once. Change points of the trial
-minima are kept as columns (trial, step, delta), and each bootstrap resample
-is one sparse matrix-vector product over them.
+minima are kept as columns (trial, step, delta). A bootstrap resample is
+n_trials trial indices drawn uniformly with replacement; their counts weight
+one sparse matrix-vector product over the events.
 """
 
 from __future__ import annotations
@@ -773,22 +774,24 @@ def extreme_regret(
 def _bootstrap_crossing_ci(events, n_trials, cap, threshold, seed, n_boot):
     """Percentile bootstrap of the crossing time, resampling whole trials.
 
-    Trial curves are kept as change-point deltas (``_columnar_events``) in a
-    sparse cap x n_trials matrix, so one resample is a mat-vec with the
-    resample's counts followed by a cumulative sum. A CSR row sums its terms
-    in trial order from 0.0, as a scatter-add over the events would. All
-    resampling randomness comes from the dedicated bootstrap lane of the seed.
+    A resample is n_trials trial indices drawn uniformly with replacement;
+    how often each trial was drawn is its weight. Trial curves are kept as
+    change-point deltas (``_columnar_events``) in a sparse cap x n_trials
+    matrix, so one resample is a mat-vec with those counts followed by a
+    cumulative sum. A CSR row sums its terms in trial order from 0.0, as a
+    scatter-add over the events would. All resampling randomness comes from
+    the dedicated bootstrap lane of the seed.
     """
     trial_ids, ts, deltas = events
     deltas_by_step = csr_matrix((deltas, (ts - 1, trial_ids)), shape=(cap, n_trials))
     slack = 1e-12 * max(1.0, abs(threshold))
     rng = generator_for(seed, BOOT_LANE, 0)
-    probs = np.full(n_trials, 1.0 / n_trials)
     crossings = np.empty(n_boot)
     for i in range(n_boot):
-        # One resample at a time: the same draws as one n_boot x n_trials
-        # matrix, without holding it.
-        counts = rng.multinomial(n_trials, probs).astype(float)
+        # One resample at a time, so memory stays O(n_trials): n uniform
+        # trial indices, counted into multinomial(n, 1/n) weights.
+        picks = rng.integers(0, n_trials, size=n_trials)
+        counts = np.bincount(picks, minlength=n_trials).astype(float)
         mean = np.cumsum(deltas_by_step @ counts) / n_trials
         hits = np.nonzero(mean <= threshold + slack)[0]
         crossings[i] = hits[0] + 1 if hits.size else math.inf

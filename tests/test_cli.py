@@ -84,6 +84,19 @@ def test_regret_exact_frozen_row(tmp_path):
     assert (tmp_path / "regret_curve.csv").exists()
 
 
+def test_regret_monte_carlo_bootstrap_frozen_interval(tmp_path):
+    # Pins the bootstrap's bytes: a change to how resamples are drawn must
+    # update these literals on purpose. Seed 1 tells draws apart: multinomial
+    # counts give ci_low 17 here.
+    argv = ["regret", "--bandit-preset", "uniform_vs_sure", "--mode", "monte_carlo", "--horizon", "10"]
+    argv += ["--trials", "400", "--bootstrap", "400", "--seed", "1", "--out-dir", str(tmp_path)]
+    assert cli.main(argv) == 0
+    rec = json.loads((tmp_path / "regret.jsonl").read_text())
+    assert (rec["t_prime"], rec["ci_low"], rec["ci_high"]) == (21, 19, 21)
+    _, _, rows = _csv_rows(tmp_path / "regret.csv")
+    assert (rows[0]["ci_low"], rows[0]["ci_high"]) == ("19", "21")
+
+
 def test_flag_overrides_config_file(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(
@@ -165,6 +178,7 @@ BAD_INPUTS = {
     "float_horizon_in_config": ["--config", "{tmp}/horizon.json"],
     "missing_config": ["--horizon", "5", "--config", "{tmp}/missing.json"],
     "config_not_json": ["--horizon", "5", "--config", "{tmp}/broken.json"],
+    "arms_json_not_json": ["--horizon", "5", "--arms-json", "[{{"],
     "out_dir_below_file": ["--horizon", "5", "--out-dir", "{tmp}/file/out"],
 }
 

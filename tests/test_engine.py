@@ -586,18 +586,18 @@ def test_extreme_regret_monte_carlo_with_bootstrap():
     assert (again.ci_low, again.ci_high) == (rep.ci_low, rep.ci_high)
 
 
-def _matrix_bootstrap_crossings(events, n_trials, cap, threshold, seed, n_boot):
-    """Reference bootstrap: all n_boot x n_trials resample counts in one
-    draw, each resample a weighted scatter-add over the events; returns
-    every resample's crossing time."""
-    trial_ids, ts, deltas = events
+def _dense_bootstrap_crossings(best, threshold, seed, n_boot):
+    """Reference bootstrap over the (n_trials x cap) running minima of the
+    sequential reference: each resample draws n_trials trial indices and
+    averages the drawn trials' curves; returns every resample's crossing
+    time."""
+    n_trials = best.shape[0]
     slack = 1e-12 * max(1.0, abs(threshold))
     rng = generator_for(seed, BOOT_LANE, 0)
-    counts = rng.multinomial(n_trials, np.full(n_trials, 1.0 / n_trials), size=n_boot)
     crossings = np.empty(n_boot)
     for i in range(n_boot):
-        weights = counts[i][trial_ids] * deltas
-        mean = np.cumsum(np.bincount(ts - 1, weights=weights, minlength=cap)) / n_trials
+        picks = rng.integers(0, n_trials, size=n_trials)
+        mean = best[picks].mean(axis=0)
         hits = np.nonzero(mean <= threshold + slack)[0]
         crossings[i] = hits[0] + 1 if hits.size else math.inf
     return crossings
@@ -611,14 +611,14 @@ def _matrix_bootstrap_crossings(events, n_trials, cap, threshold, seed, n_boot):
         (xb.UniformRandomPolicy(), HALF_VS_RISKY, 4, 6),
     ],
 )
-def test_bootstrap_ci_matches_matrix_draw(policy, arms, horizon, seed):
+def test_bootstrap_ci_matches_dense_resamples(policy, arms, horizon, seed):
     n_trials, n_boot = 300, 200
     cap = 4 * len(arms) * horizon
     oracle = min(xb.expected_min(d, horizon) for d in arms)
-    _, events = engine._curve_and_events(policy, arms, cap, n_trials, seed, 1, True)
-    want = _matrix_bootstrap_crossings(events, n_trials, cap, oracle, seed, n_boot)
+    want = _dense_bootstrap_crossings(_trajectory_minima(policy, arms, cap, n_trials, seed), oracle, seed, n_boot)
     lo, hi = np.quantile(want, [0.025, 0.975], method="nearest")
     want_ci = (int(lo) if math.isfinite(lo) else None, int(hi) if math.isfinite(hi) else None)
+    _, events = engine._curve_and_events(policy, arms, cap, n_trials, seed, 1, True)
     # Every resample's crossing, not only the two percentiles: the engine
     # hands its crossings to np.quantile.
     seen = []
@@ -631,6 +631,37 @@ def test_bootstrap_ci_matches_matrix_draw(policy, arms, horizon, seed):
     assert got_ci == want_ci
     rep = xb.extreme_regret(policy, arms, horizon, n_trials=n_trials, seed=seed, bootstrap=n_boot)
     assert (rep.ci_low, rep.ci_high) == want_ci
+
+
+def test_bootstrap_identical_trials_pin_the_interval():
+    # Point masses: every trial has the same curve, so every resample
+    # crosses where the mean does.
+    arms = (xb.point_mass(0.5), xb.point_mass(0.3))
+    rep = xb.extreme_regret(xb.RoundRobinPolicy(), arms, 5, n_trials=50, seed=2, bootstrap=100)
+    assert rep.t_prime == 2
+    assert rep.ci_low == rep.ci_high == rep.t_prime
+
+
+def test_bootstrap_two_trials_one_resample():
+    rep = xb.extreme_regret(xb.RoundRobinPolicy(), UNIFORM_VS_SURE, 10, n_trials=2, seed=4, bootstrap=1)
+    assert type(rep.ci_low) is int and type(rep.ci_high) is int
+    # One resample: both percentiles are its crossing.
+    assert 1 <= rep.ci_low == rep.ci_high <= rep.cap
+
+
+def test_bootstrap_resamples_that_never_cross():
+    never = xb.extreme_regret(xb.FixedArmPolicy(arm=2), UNIFORM_VS_SURE, 10, n_trials=50, seed=1, bootstrap=50)
+    assert never.t_prime is None
+    assert (never.ci_low, never.ci_high) == (None, None)
+    # Capped at the mean's own crossing, the later-crossing resamples never
+    # get there: the upper bound is None, the lower one is not.
+    full = xb.extreme_regret(xb.RoundRobinPolicy(), UNIFORM_VS_SURE, 10, n_trials=200, seed=1, bootstrap=200)
+    rep = xb.extreme_regret(
+        xb.RoundRobinPolicy(), UNIFORM_VS_SURE, 10, n_trials=200, seed=1, bootstrap=200, cap=full.t_prime
+    )
+    assert rep.t_prime == full.t_prime
+    assert rep.ci_low is not None and rep.ci_low <= rep.t_prime
+    assert rep.ci_high is None
 
 
 def _trajectory_events(policy, arms, t_max, n_trials, seed):
