@@ -477,6 +477,10 @@ def main(argv: list[str] | None = None) -> int:
     except ExtremeBanditsError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        # A size the schema accepts can still be too large to allocate.
+        print(f"error: MemoryError: {exc or 'out of memory'}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

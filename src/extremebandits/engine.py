@@ -41,7 +41,7 @@ from .policies import (
     QuantileThresholdPolicy,
     UniformRandomPolicy,
 )
-from .rng import ARM_LANE, BOOT_LANE, POLICY_LANE, Coin, TrialStreams, generator_for
+from .rng import ARM_LANE, BOOT_LANE, POLICY_LANE, TrialStreams, generator_for
 
 CHUNK_TRIALS = 64
 BLOCK_STEPS = 4096
@@ -90,13 +90,13 @@ def run_trajectory(policy: Policy, arms: tuple[Distribution, ...], horizon: int,
     _check_horizon(horizon)
     K = len(arms)
     arm_row = generator_for(seed, ARM_LANE, trial).random(horizon)
-    pol_row = generator_for(seed, POLICY_LANE, trial).random(horizon)
+    pol_row = generator_for(seed, POLICY_LANE, trial).random(horizon).tolist()
     caches = [_icdf_cache(d) for d in arms]
     state = policy.initial_state(K)
     chosen = np.empty(horizon, dtype=np.int64)
     values = np.empty(horizon)
     for t in range(1, horizon + 1):
-        arm = _checked_arm(policy, policy.choose(state, t, Coin(pol_row[t - 1])), K)
+        arm = _checked_arm(policy, policy.choose(state, t, pol_row[t - 1]), K)
         value = _icdf_one(caches[arm - 1], arm_row[t - 1])
         chosen[t - 1] = arm
         values[t - 1] = value
@@ -343,12 +343,12 @@ class _GenericKernel(_KernelBase):
 
     def next_block(self, bt, live):
         u = self.arm_streams.next_block(bt, live)
-        p = self.pol_block(bt, live)
+        p = self.pol_block(bt, live).tolist()
         v = np.empty_like(u)
         for c in range(bt):
             t = self.t0 + c + 1
             for i, row in enumerate(live):
-                arm = _checked_arm(self.policy, self.policy.choose(self.states[row], t, Coin(p[i, c])), self.K)
+                arm = _checked_arm(self.policy, self.policy.choose(self.states[row], t, p[i][c]), self.K)
                 value = _icdf_one(self.caches[arm - 1], u[i, c])
                 v[i, c] = value
                 self.states[row] = self.policy.observe(self.states[row], arm, value)
@@ -659,8 +659,12 @@ def _tree_exact_curve(policy, arms, t_max):
         if not d.is_discrete:
             raise ContinuousArm("tree evaluation needs discrete arms")
     widest = max(len(d.support) for d in arms)
-    if widest**t_max > MAX_TREE_LEAVES:
-        raise BudgetExceeded(f"outcome tree would exceed {MAX_TREE_LEAVES} leaves")
+    # widest**t_max > MAX_TREE_LEAVES, decided without building that number.
+    leaves = 1
+    for _ in range(t_max if widest > 1 else 0):
+        leaves *= widest
+        if leaves > MAX_TREE_LEAVES:
+            raise BudgetExceeded(f"outcome tree would exceed {MAX_TREE_LEAVES} leaves")
     raw = np.zeros(t_max)
     # Depth first with an explicit stack: recursion would nest t_max deep.
     # Nodes are expanded in the recursive pre-order, so every raw[t] sums

@@ -27,6 +27,7 @@ from .distributions import (
     _check_horizon,
 )
 from .errors import BudgetExceeded, ContinuousArm, PropertyViolation
+from .policies import _lowest_argmin
 from .rng import ARM_LANE, TrialStreams
 
 MAX_DP_SUPPORT = 64
@@ -45,11 +46,8 @@ def single_armed_oracle(arms: tuple[Distribution, ...], horizon: int) -> OracleR
     """Best commit-to-one-arm value; ties go to the lowest arm index."""
     _check_horizon(horizon)
     values = [expected_min(d, horizon) for d in arms]
-    best = 0
-    for k in range(1, len(values)):
-        if values[k] < values[best]:
-            best = k
-    return OracleResult(arm=best + 1, value=values[best])
+    arm = _lowest_argmin(values)
+    return OracleResult(arm=arm, value=values[arm - 1])
 
 
 def _joint_support(arms: tuple[Distribution, ...]):
@@ -111,12 +109,7 @@ def optimal_oracle_value(arms: tuple[Distribution, ...], horizon: int) -> float:
 
 def greedy_oracle_step(arms: tuple[Distribution, ...], best_so_far: float | None) -> int:
     """Arm minimizing E[min(X_k, best-so-far)]; ties to the lowest index."""
-    values = [expected_min_capped(d, best_so_far) for d in arms]
-    best = 0
-    for k in range(1, len(values)):
-        if values[k] < values[best]:
-            best = k
-    return best + 1
+    return _lowest_argmin([expected_min_capped(d, best_so_far) for d in arms])
 
 
 def greedy_oracle_value(

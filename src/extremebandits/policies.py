@@ -3,9 +3,10 @@
 A policy is a (possibly randomized) map from the observed history to the next
 arm. State is carried functionally: ``observe`` returns a new PolicyState, so
 a state can be replayed or forked without aliasing. Randomized policies draw
-nothing themselves: ``choose`` receives the address of this (trial, t)'s
-policy coin and must be a pure function of (state, t, that coin), which is
-what keeps sequential and vectorized execution bit-identical.
+nothing themselves: ``choose(state, t, u)`` receives this (trial, t)'s policy
+coin as a float u in [0, 1) and must be a pure function of (state, t, u),
+which is what keeps sequential and vectorized execution bit-identical. Where
+no coin exists (the exact evaluation of a deterministic policy) u is None.
 
 Arm indices are 1-based everywhere. All tie-breaks go to the lowest arm
 index.
@@ -16,34 +17,30 @@ from __future__ import annotations
 import bisect
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import UnknownPolicy
-from .rng import RngStream
 
 _UNSEEN = math.inf
 
 
 @dataclass(frozen=True)
 class PolicyState:
-    """Observation summary after t-1 plays.
+    """Observation summary after the plays so far.
 
-    counts/best_per_arm are per-arm; best is the global best-so-far (inf
-    before the first observation). memory holds policy-specific extras.
+    best_per_arm holds each arm's smallest observed cost, inf while the arm
+    is unseen; memory holds policy-specific extras.
     """
 
-    t: int
-    counts: tuple[int, ...]
     best_per_arm: tuple[float, ...]
-    best: float
     memory: object = None
 
     @property
     def K(self) -> int:
-        return len(self.counts)
+        return len(self.best_per_arm)
 
 
 class Policy:
@@ -52,30 +49,21 @@ class Policy:
     name: str = "?"
 
     def initial_state(self, K: int) -> PolicyState:
-        return PolicyState(
-            t=1, counts=(0,) * K, best_per_arm=(_UNSEEN,) * K, best=_UNSEEN, memory=self._initial_memory(K)
-        )
+        return PolicyState((_UNSEEN,) * K, self._initial_memory(K))
 
     def _initial_memory(self, K: int):
         return None
 
-    def choose(self, state: PolicyState, t: int, rng: RngStream | None = None) -> int:
+    def choose(self, state: PolicyState, t: int, u: float | None = None) -> int:
+        """The arm, in 1..K, to play at step t; u is the step's policy coin
+        in [0, 1), None where no coin exists."""
         raise NotImplementedError
 
     def observe(self, state: PolicyState, arm: int, value: float) -> PolicyState:
-        counts = list(state.counts)
-        counts[arm - 1] += 1
-        bests = list(state.best_per_arm)
+        bests = state.best_per_arm
         if value < bests[arm - 1]:
-            bests[arm - 1] = value
-        return replace(
-            state,
-            t=state.t + 1,
-            counts=tuple(counts),
-            best_per_arm=tuple(bests),
-            best=min(state.best, value),
-            memory=self._update_memory(state, arm, value),
-        )
+            bests = bests[: arm - 1] + (value,) + bests[arm:]
+        return PolicyState(bests, self._update_memory(state, arm, value))
 
     def _update_memory(self, state: PolicyState, arm: int, value: float):
         return state.memory
@@ -86,7 +74,7 @@ class Policy:
 
     @property
     def is_deterministic(self) -> bool:
-        """True when choose() never reads its rng argument."""
+        """True when choose() never reads its coin u."""
         return False
 
     def to_record(self) -> dict:
@@ -108,6 +96,7 @@ def _check_real(name: str, value) -> None:
 
 
 def _lowest_argmin(values: Sequence[float]) -> int:
+    """1-based index of the smallest value; ties go to the lowest index."""
     best_idx = 0
     for idx in range(1, len(values)):
         if values[idx] < values[best_idx]:
@@ -115,11 +104,16 @@ def _lowest_argmin(values: Sequence[float]) -> int:
     return best_idx + 1
 
 
+def _uniform_arm(u: float, K: int) -> int:
+    """The arm in 1..K that a coin u in [0, 1) picks uniformly."""
+    return min(int(u * K), K - 1) + 1
+
+
 @dataclass(frozen=True)
 class RoundRobinPolicy(Policy):
     name = "round_robin"
 
-    def choose(self, state, t, rng=None):
+    def choose(self, state, t, u=None):
         return (t - 1) % state.K + 1
 
     def arm_script(self, K, horizon):
@@ -134,8 +128,8 @@ class RoundRobinPolicy(Policy):
 class UniformRandomPolicy(Policy):
     name = "uniform_random"
 
-    def choose(self, state, t, rng=None):
-        return rng.randint(state.K)
+    def choose(self, state, t, u=None):
+        return _uniform_arm(u, state.K)
 
 
 @dataclass(frozen=True)
@@ -156,11 +150,9 @@ class EpsGreedyMinPolicy(Policy):
         if not 0.0 <= self.epsilon <= 1.0:
             raise UnknownPolicy(f"epsilon must be in [0, 1], got {self.epsilon}")
 
-    def choose(self, state, t, rng=None):
-        if self.epsilon > 0.0:
-            u = rng.uniform()
-            if u < self.epsilon:
-                return min(int(u / self.epsilon * state.K), state.K - 1) + 1
+    def choose(self, state, t, u=None):
+        if self.epsilon > 0.0 and u < self.epsilon:
+            return _uniform_arm(u / self.epsilon, state.K)
         return _lowest_argmin(state.best_per_arm)
 
     @property
@@ -208,7 +200,7 @@ class QuantileThresholdPolicy(Policy):
         k = max(1, math.ceil(self.q * len(values)))
         return values[k - 1]
 
-    def choose(self, state, t, rng=None):
+    def choose(self, state, t, u=None):
         if (t - 1) % self.explore_every == 0:
             return ((t - 1) // self.explore_every) % state.K + 1
         return _lowest_argmin([self._score(v) for v in state.memory])
@@ -230,7 +222,7 @@ class FixedArmPolicy(Policy):
     def __post_init__(self):
         _check_int("arm", self.arm, 1)
 
-    def choose(self, state, t, rng=None):
+    def choose(self, state, t, u=None):
         return self.arm
 
     def arm_script(self, K, horizon):
@@ -258,7 +250,7 @@ class SequenceThenArmPolicy(Policy):
         for a in self.prefix:
             _check_int("prefix arm", a, 1)
 
-    def choose(self, state, t, rng=None):
+    def choose(self, state, t, u=None):
         if t <= len(self.prefix):
             return self.prefix[t - 1]
         return self.tail_arm
@@ -303,9 +295,16 @@ class TablePolicy(Policy):
         _check_int("default_arm", self.default_arm, 1)
         for arm in self.mapping.values():
             _check_int("table arm", arm, 1)
-        missing = [h for h in _histories(len(self.alphabet), self.depth) if h not in self.mapping]
+        n = len(self.alphabet)
+        if n > 1 and self.depth > 64:
+            # Over 2**64 histories: more than any mapping can list.
+            raise UnknownPolicy(f"table not total: depth {self.depth} over {n} values has over 2**64 histories")
+        domain = range(n)
+        listed = sum(isinstance(h, tuple) and len(h) < self.depth and all(i in domain for i in h) for h in self.mapping)
+        missing = _history_count(n, self.depth) - listed
         if missing:
-            raise UnknownPolicy(f"table not total: missing {len(missing)} histories, e.g. {missing[0]}")
+            example = next(h for h in _histories(n, self.depth) if h not in self.mapping)
+            raise UnknownPolicy(f"table not total: missing {missing} histories, e.g. {example}")
 
     def _initial_memory(self, K):
         return ()
@@ -317,7 +316,7 @@ class TablePolicy(Policy):
             idx = -1
         return state.memory + (idx,)
 
-    def choose(self, state, t, rng=None):
+    def choose(self, state, t, u=None):
         history = state.memory
         if -1 in history:
             return self.default_arm
@@ -349,6 +348,13 @@ def table_from_record(params: dict) -> TablePolicy:
         depth=params["depth"],
         default_arm=params.get("default_arm", 1),
     )
+
+
+def _history_count(alphabet_size: int, depth: int) -> int:
+    """The number of histories _histories yields: sum of alphabet_size**d, d < depth."""
+    if alphabet_size < 2:
+        return depth if alphabet_size else min(depth, 1)
+    return (alphabet_size**depth - 1) // (alphabet_size - 1)
 
 
 def _histories(alphabet_size: int, depth: int):

@@ -105,11 +105,6 @@ class RngStream:
             _seek(gen.bit_generator, gen.bit_generator.state, self.trial, self.t - 1)
         return gen.random(n)
 
-    def randint(self, k: int) -> int:
-        """One integer uniform on {1, ..., k}, derived from this address."""
-        u = self.uniform()
-        return min(int(u * k), k - 1) + 1
-
     def at(self, *, trial: int | None = None, t: int | None = None, lane: int | None = None) -> "RngStream":
         kwargs = {}
         if trial is not None:
@@ -152,24 +147,3 @@ class TrialStreams:
             self._gen.random(n, out=row)
         self._t0 += n
         return out
-
-
-class Coin:
-    """One already-drawn uniform wrapped in the RngStream read interface.
-
-    Vectorized execution materializes whole policy-lane blocks up front;
-    Coin hands a single entry of such a block to Policy.choose with the
-    exact semantics of the equivalent RngStream address: repeated reads see
-    the same value, and randint uses the same truncation formula.
-    """
-
-    __slots__ = ("u",)
-
-    def __init__(self, u: float):
-        self.u = u
-
-    def uniform(self) -> float:
-        return self.u
-
-    def randint(self, k: int) -> int:
-        return min(int(self.u * k), k - 1) + 1

@@ -219,8 +219,8 @@ def _count_form_logp(policy: Policy, tup, a: AlphaSequence, path: tuple) -> floa
     value_to_index = {a.alphas[j - 1]: j for j in range(1, a.depth + 1)}
     state = policy.initial_state(tup.K)
     c_log = 0.0
-    for v in path:
-        arm = policy.choose(state, state.t, None)
+    for t, v in enumerate(path, 1):
+        arm = policy.choose(state, t, None)
         if v == 1.0:
             c_log += tup.log_gammas[arm - 1]
         else:

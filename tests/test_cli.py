@@ -173,13 +173,19 @@ def test_bad_workers_env_exit_2(tmp_path, capsys, monkeypatch):
     assert err.count("\n") == 1 and xb.engine.WORKERS_ENV in err
 
 
+SIMULATE = ["simulate", "--bandit-preset", "uniform_vs_sure", "--trials", "10"]
 BAD_INPUTS = {
-    "seed_above_uint64": ["--horizon", "5", "--seed", str(2**64)],
-    "float_horizon_in_config": ["--config", "{tmp}/horizon.json"],
-    "missing_config": ["--horizon", "5", "--config", "{tmp}/missing.json"],
-    "config_not_json": ["--horizon", "5", "--config", "{tmp}/broken.json"],
-    "arms_json_not_json": ["--horizon", "5", "--arms-json", "[{{"],
-    "out_dir_below_file": ["--horizon", "5", "--out-dir", "{tmp}/file/out"],
+    "seed_above_uint64": [*SIMULATE, "--horizon", "5", "--seed", str(2**64)],
+    "float_horizon_in_config": [*SIMULATE, "--config", "{tmp}/horizon.json"],
+    "missing_config": [*SIMULATE, "--horizon", "5", "--config", "{tmp}/missing.json"],
+    "config_not_json": [*SIMULATE, "--horizon", "5", "--config", "{tmp}/broken.json"],
+    "arms_json_not_json": [*SIMULATE, "--horizon", "5", "--arms-json", "[{{"],
+    "out_dir_below_file": [*SIMULATE, "--horizon", "5", "--out-dir", "{tmp}/file/out"],
+    # Sizes the schema accepts but memory cannot hold (about 7 TiB of doubles).
+    "grid_out_of_memory": ["best-arm-scan", "--horizons", "10", "--grid", str(10**12)],
+    "bootstrap_out_of_memory": [
+        "regret", "--bandit-preset", "uniform_vs_sure", "--horizon", "5", "--trials", "3", "--bootstrap", str(10**12)
+    ],
 }
 
 
@@ -188,12 +194,18 @@ def test_bad_input_exit_2(case, tmp_path, capsys):
     (tmp_path / "horizon.json").write_text(json.dumps({"horizon": 10.0}))
     (tmp_path / "broken.json").write_text("{not json")
     (tmp_path / "file").write_text("")
-    argv = ["simulate", "--bandit-preset", "uniform_vs_sure", "--trials", "10", "--out-dir", str(tmp_path / "out")]
-    rc = cli.main(argv + [a.format(tmp=tmp_path) for a in BAD_INPUTS[case]])
+    command, *rest = BAD_INPUTS[case]
+    out = tmp_path / "out"
+    rc = cli.main([command, "--out-dir", str(out)] + [a.format(tmp=tmp_path) for a in rest])
     err = capsys.readouterr().err
     assert rc == 2
     assert err.count("\n") == 1
-    assert not (tmp_path / "out").exists()
+    if case.endswith("out_of_memory"):
+        # Found in the run, after the output directory is made: nothing is written.
+        assert err.startswith("error: MemoryError: ")
+        assert list(out.iterdir()) == []
+    else:
+        assert not out.exists()
 
 
 # Policies the engine rejects: the message comes from the engine, after the
@@ -228,6 +240,7 @@ BAD_POLICY_PARAMS = {
     "table_arm_float": ("table", {"alphabet": [0.5], "depth": 1, "entries": [{"history": [], "arm": 1.0}]}),
     "table_depth_bool": ("table", {"alphabet": [0.5], "depth": True, "entries": [{"history": [], "arm": 1}]}),
     "table_without_entries": ("table", {"alphabet": [0.5], "depth": 0}),
+    "table_depth_40_no_entries": ("table", {"alphabet": [0.5, 0.0, 1.0], "depth": 40, "entries": []}),
     "fixed_arm_float": ("fixed_arm", {"arm": 1.5}),
     "fixed_arm_bool": ("fixed_arm", {"arm": True}),
     "prefix_arm_float": ("arm_sequence", {"prefix": [1.0], "tail_arm": 1}),

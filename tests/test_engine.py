@@ -452,6 +452,17 @@ def test_tree_exact_curve_deep_horizon():
     assert np.all(curve.raw == 0.5)
 
 
+def test_tree_exact_curve_leaf_budget():
+    # The budget is widest**t_max leaves, refused before the walk and without
+    # building that number: 2**24 > 10**7 >= 2**23. Greedy at eps = 0 locks
+    # onto the sure arm, so the walk at the budget is a single path.
+    policy = xb.EpsGreedyMinPolicy(epsilon=0.0)
+    assert np.all(xb.exact_min_curve(policy, HALF_VS_RISKY, 23).raw == 0.5)
+    for t_max in (24, 10**12):
+        with pytest.raises(xb.BudgetExceeded):
+            xb.exact_min_curve(policy, HALF_VS_RISKY, t_max)
+
+
 def test_exact_curve_rejects_randomized_policies():
     with pytest.raises(xb.UnknownPolicy):
         xb.exact_min_curve(xb.UniformRandomPolicy(), HALF_VS_RISKY, 4)
@@ -731,8 +742,8 @@ def test_run_trajectory_replays_through_policy_api():
     assert np.array_equal(trace.best_so_far, np.minimum.accumulate(trace.values))
     state = policy.initial_state(len(arms))
     for t in range(1, horizon + 1):
-        rng = xb.RngStream(seed=seed, trial=trial, t=t, lane=POLICY_LANE)
-        assert policy.choose(state, t, rng) == trace.arms[t - 1]
+        u = xb.RngStream(seed=seed, trial=trial, t=t, lane=POLICY_LANE).uniform()
+        assert policy.choose(state, t, u) == trace.arms[t - 1]
         state = policy.observe(state, int(trace.arms[t - 1]), float(trace.values[t - 1]))
-    assert state.counts == tuple(np.bincount(trace.arms, minlength=3)[1:])
-    assert state.best == trace.best_so_far[-1]
+    assert state.best_per_arm == tuple(trace.values[trace.arms == k].min(initial=math.inf) for k in (1, 2))
+    assert min(state.best_per_arm) == trace.best_so_far[-1]

@@ -1,16 +1,13 @@
 """Policy behavior: determinism, memory updates, baseline registry."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
 import extremebandits as xb
 from extremebandits.rng import POLICY_LANE
-
-
-def _stream(trial=0, seed=0):
-    return xb.RngStream(seed=seed, trial=trial, t=1, lane=POLICY_LANE)
 
 
 def test_round_robin_cycle():
@@ -28,26 +25,38 @@ def test_observe_is_pure():
     pol = xb.RoundRobinPolicy()
     st0 = pol.initial_state(2)
     st1 = pol.observe(st0, arm=1, value=0.7)
-    # state.t is the index of the next decision, so it starts at 1.
-    assert st0.t == 1 and st0.counts == (0, 0)
-    assert st1.t == 2 and st1.counts == (1, 0)
-    assert st1.best_per_arm == (0.7, float("inf"))
-    assert st1.best == 0.7
+    assert st0.best_per_arm == (math.inf, math.inf) and st0.K == 2
+    assert st1.best_per_arm == (0.7, math.inf)
     st2 = pol.observe(st1, arm=2, value=0.2)
-    assert st2.best == 0.2
-    assert st1.best == 0.7  # unchanged
+    assert st2.best_per_arm == (0.7, 0.2)
+    assert pol.observe(st2, arm=1, value=0.9).best_per_arm == (0.7, 0.2)  # a worse cost keeps the best
+    assert st1.best_per_arm == (0.7, math.inf)  # unchanged
+    assert [f.name for f in dataclasses.fields(st2)] == ["best_per_arm", "memory"]
     with pytest.raises(dataclasses.FrozenInstanceError):
-        st2.t = 99
+        st2.best_per_arm = ()
 
 
 def test_uniform_random_uses_single_coin():
     pol = xb.UniformRandomPolicy()
     st = pol.initial_state(4)
-    r = _stream()
     u = xb.RngStream(seed=0, trial=0, t=1, lane=POLICY_LANE).uniform()
-    got = pol.choose(st, 1, rng=r)
-    assert got == min(int(u * 4), 3) + 1
+    assert pol.choose(st, 1, u) == min(int(u * 4), 3) + 1
     assert not pol.is_deterministic
+
+
+@pytest.mark.parametrize("policy", [xb.UniformRandomPolicy(), xb.EpsGreedyMinPolicy(epsilon=1.0)])
+def test_coin_arm_range_and_formula(policy):
+    # The arm a coin picks is min(int(u K), K - 1) + 1, in 1..K for every
+    # coin up to the largest double below 1, which picks arm K.
+    last = math.nextafter(1.0, 0.0)
+    coins = [0.0, last, *xb.uniform_block(1, POLICY_LANE, 0, 50)]
+    for K in range(1, 65):
+        st = policy.initial_state(K)
+        for u in coins:
+            arm = policy.choose(st, 1, u)
+            assert 1 <= arm <= K
+            assert arm == min(int(u * K), K - 1) + 1
+        assert policy.choose(st, 1, last) == K
 
 
 def test_eps_greedy_full_exploration_matches_uniform():
@@ -176,6 +185,17 @@ def test_table_policy_requires_total_mapping():
             mapping={(): 1, (0,): 1},  # missing (1,)
             depth=2,
         )
+    # Missing histories are counted, not listed. Keys outside the domain (an
+    # index past the alphabet, a history as long as the depth) count for none.
+    with pytest.raises(xb.UnknownPolicy, match=r"missing 1 histories, e\.g\. \(1,\)$"):
+        xb.TablePolicy(alphabet=(0.05, 1.0), mapping={(): 1, (0,): 1, (5,): 1, (0, 0): 1}, depth=2)
+    # (3**40 - 1) / 2 histories.
+    with pytest.raises(xb.UnknownPolicy, match=r"missing 6078832729528464400 histories, e\.g\. \(\)$"):
+        xb.TablePolicy(alphabet=(0.5, 0.0, 1.0), depth=40)
+    with pytest.raises(xb.UnknownPolicy, match=r"missing 999999999998 histories, e\.g\. \(0, 0\)$"):
+        xb.TablePolicy(alphabet=(0.5,), mapping={(): 1, (0,): 1}, depth=10**12)
+    with pytest.raises(xb.UnknownPolicy, match="over 2\\*\\*64 histories"):
+        xb.TablePolicy(alphabet=(0.5, 1.0), depth=65)
 
 
 def test_enumerate_tables_counts():

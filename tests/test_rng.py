@@ -9,7 +9,6 @@ from extremebandits.rng import (
     ARM_LANE,
     CHECK_LANE,
     POLICY_LANE,
-    Coin,
     RngStream,
     TrialStreams,
     generator_for,
@@ -145,23 +144,6 @@ def test_uniform_at_huge_t_reads_from_the_counter():
     # The reference formula agrees with the generator at small t.
     block = uniform_block(4, CHECK_LANE, 11, 9)
     assert [_philox_reference(4, CHECK_LANE, 11, t) for t in range(1, 10)] == list(block)
-
-
-def test_randint_range_and_formula():
-    for t in range(1, 200):
-        r = RngStream(seed=1, trial=0, t=t, lane=POLICY_LANE)
-        k = r.randint(7)
-        assert 1 <= k <= 7
-        assert k == min(int(r.uniform() * 7), 6) + 1
-
-
-def test_coin_matches_stream_semantics():
-    r = RngStream(seed=3, trial=5, t=9, lane=POLICY_LANE)
-    c = Coin(r.uniform())
-    assert c.uniform() == r.uniform()
-    assert c.uniform() == c.uniform()  # reads are idempotent, not consuming
-    for k in (2, 3, 10):
-        assert c.randint(k) == r.randint(k)
 
 
 def test_generator_reproducibility():
