@@ -8,7 +8,10 @@ and its horizons), and best-arm-scan (closed-form two-point family scan).
 Every run resolves to one config dict: file values (via --config) are
 overridden by explicit flags, the result is schema-validated before anything
 executes or touches the filesystem, and the resolved config plus its hash are
-written next to the artifacts.
+written next to the artifacts. A malformed command line exits 2 with a
+one-line message, as a bad config does; verify simulates with the config's
+policy, params included. Each flag is one row of _FLAGS (config path and
+argparse options): a new flag is that row plus its CONFIG_SCHEMA property.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import jsonschema
 
 from . import engine
 from .construction import (
-    all_assignments,
+    BAssignment,
     build_mixture,
     build_tuple,
     canonical_sequence,
@@ -35,7 +38,7 @@ from .construction import (
 from .distributions import from_record, make_discrete, point_mass, uniform01
 from .errors import ConfigInvalid, ExtremeBanditsError, HorizonOverflow, IoFailure
 from .oracles import best_arm_scan
-from .policies import make_policy
+from .policies import baseline, make_policy
 from .reporting import Reporter
 from .verification import ALL_CHECKS, run_check
 
@@ -61,13 +64,14 @@ _DIST_RECORD = {
     },
 }
 
+_PRESETS = ["bernoulli_vs_sure", "uniform_vs_sure", "half_vs_risky", "two_index", "canonical"]
+_MODES = ["exact", "monte_carlo"]
+
 _BANDIT = {
     "type": "object",
     "additionalProperties": False,
     "properties": {
-        "preset": {
-            "enum": ["bernoulli_vs_sure", "uniform_vs_sure", "half_vs_risky", "two_index", "canonical"]
-        },
+        "preset": {"enum": _PRESETS},
         "p": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
         "K": {"type": "integer", "minimum": 2},
         "depth": {"type": "integer", "minimum": 1},
@@ -96,7 +100,7 @@ CONFIG_SCHEMA = {
         },
         "horizon": {"type": "integer", "minimum": 1},
         "trials": {"type": "integer", "minimum": 1},
-        "mode": {"enum": ["exact", "monte_carlo"]},
+        "mode": {"enum": _MODES},
         "cap": {"type": ["integer", "null"], "minimum": 1},
         "bootstrap": {"type": "integer", "minimum": 0},
         "checks": {"type": "array", "minItems": 1, "items": {"type": "string"}},
@@ -155,21 +159,25 @@ def _construction_from_config(config: dict):
     else:
         raise ConfigInvalid("construction needs preset two_index/canonical or explicit alphas", schema_path="bandit")
     assignment = bandit.get("assignment", [(j % K) + 1 for j in range(a.depth)])
-    from .construction import BAssignment
-
     b = BAssignment(tuple(assignment))
     mixture_index = bandit.get("mixture_index")
     tup = build_mixture(a, b, mixture_index) if mixture_index else build_tuple(a, b)
     return a, b, tup
 
 
-def _policy_from_config(config: dict):
+def _policy_from_config(config: dict, factory=make_policy):
     pol = config.get("policy") or {"name": "round_robin"}
-    return make_policy(pol["name"], pol.get("params", {}))
+    return factory(pol["name"], pol.get("params", {}))
 
 
 # ---------------------------------------------------------------------------
 # subcommand runners; each returns the process exit code.
+
+
+def _wrote(rep: Reporter, code: int = 0) -> int:
+    for path in rep.written:
+        print(f"wrote {path}")
+    return code
 
 
 def run_simulate(config: dict) -> int:
@@ -187,9 +195,7 @@ def run_simulate(config: dict) -> int:
     rep.write_config()
     rep.emit_curve(curve)
     print(f"simulate: policy={policy.name} mode={mode} horizon={horizon} final={curve.estimates[-1]:.17g}")
-    for path in rep.written:
-        print(f"wrote {path}")
-    return 0
+    return _wrote(rep)
 
 
 def run_regret(config: dict) -> int:
@@ -215,9 +221,7 @@ def run_regret(config: dict) -> int:
         f"regret: policy={policy.name} horizon={horizon} oracle={report.oracle_value:.17g} "
         f"t_prime={t_prime} ratio={report.ratio:.17g}"
     )
-    for path in rep.written:
-        print(f"wrote {path}")
-    return 0
+    return _wrote(rep)
 
 
 def run_verify(config: dict) -> int:
@@ -226,11 +230,11 @@ def run_verify(config: dict) -> int:
     for cid in ids:
         if cid not in ALL_CHECKS:
             raise ConfigInvalid(f"unknown check {cid!r}; known: {', '.join(ALL_CHECKS)}", schema_path="checks")
-    policy_name = (config.get("policy") or {"name": "round_robin"})["name"]
+    policy = _policy_from_config(config, baseline)
     rep = Reporter(config.get("out_dir", "out"), config)
     reports = []
     for cid in ids:
-        reports.extend(run_check(cid, seed=config["seed"], workers=config.get("workers"), policy=policy_name))
+        reports.extend(run_check(cid, seed=config["seed"], workers=config.get("workers"), policy=policy))
     rep.write_config()
     rep.emit_checks(reports)
     all_passed = True
@@ -238,9 +242,7 @@ def run_verify(config: dict) -> int:
         status = "PASS" if r.passed else "FAIL"
         all_passed &= r.passed
         print(f"check {r.check_id}: {status} params={json.dumps(r.params, sort_keys=True, default=str)}")
-    for path in rep.written:
-        print(f"wrote {path}")
-    return 0 if all_passed else 1
+    return _wrote(rep, 0 if all_passed else 1)
 
 
 def run_construct(config: dict) -> int:
@@ -265,9 +267,7 @@ def run_construct(config: dict) -> int:
         f"construct: K={a.K} depth={a.depth} kind={tup.kind} assignment={list(b.values)} "
         f"properties_pass={a.report.passed}"
     )
-    for path in rep.written:
-        print(f"wrote {path}")
-    return 0
+    return _wrote(rep)
 
 
 def run_best_arm_scan(config: dict) -> int:
@@ -278,9 +278,7 @@ def run_best_arm_scan(config: dict) -> int:
     rep.emit_scan(results)
     for r in results:
         print(f"scan: horizon={r.horizon} s_star={r.s_star:.17g} value={r.value:.17g}")
-    for path in rep.written:
-        print(f"wrote {path}")
-    return 0
+    return _wrote(rep)
 
 
 _RUNNERS = {
@@ -293,7 +291,8 @@ _RUNNERS = {
 
 
 # ---------------------------------------------------------------------------
-# argument parsing: flags override config-file values.
+# argument parsing: one table of flags drives both the parser and the merge of
+# flags over config-file values.
 
 
 def _csv_ints(text: str) -> list[int]:
@@ -304,74 +303,88 @@ def _csv_floats(text: str) -> list[float]:
     return [float(x) for x in text.split(",") if x.strip()]
 
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--config", help="JSON config file; explicit flags override its values")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out-dir", default=None)
-    p.add_argument("--workers", type=int, default=None)
+def _arms_json(text: str) -> list:
+    # ConfigInvalid is not a ValueError, so argparse passes it through as is.
+    try:
+        return json.loads(text)
+    except ValueError as exc:
+        raise ConfigInvalid(f"--arms-json is not JSON: {exc}") from None
 
 
-def _add_bandit(p: argparse.ArgumentParser):
-    p.add_argument(
-        "--bandit-preset",
-        choices=["bernoulli_vs_sure", "uniform_vs_sure", "half_vs_risky", "two_index", "canonical"],
-        default=None,
-    )
-    p.add_argument("--p", type=float, default=None, help="success mass for bernoulli_vs_sure")
-    p.add_argument("--arms-json", default=None, help="explicit arms as a JSON array of records")
-    p.add_argument("--K", type=int, default=None)
-    p.add_argument("--depth", type=int, default=None)
-    p.add_argument("--alphas", type=_csv_floats, default=None, help="comma-separated mass sequence")
-    p.add_argument("--assignment", type=_csv_ints, default=None, help="comma-separated arm per index")
-    p.add_argument("--mixture-index", type=int, default=None)
+# Each flag: (option, config path, argparse keywords). A flag that is given
+# sets the value at its path, over whatever the config file holds there.
+_FLAGS = {
+    "common": [
+        ("--seed", ("seed",), {"type": int}),
+        ("--out-dir", ("out_dir",), {}),
+        ("--workers", ("workers",), {"type": int}),
+    ],
+    "bandit": [
+        ("--bandit-preset", ("bandit", "preset"), {"choices": _PRESETS}),
+        ("--p", ("bandit", "p"), {"type": float, "help": "success mass for bernoulli_vs_sure"}),
+        ("--arms-json", ("bandit", "arms"), {"type": _arms_json, "help": "explicit arms as a JSON array of records"}),
+        ("--K", ("bandit", "K"), {"type": int}),
+        ("--depth", ("bandit", "depth"), {"type": int}),
+        ("--alphas", ("bandit", "alphas"), {"type": _csv_floats, "help": "comma-separated mass sequence"}),
+        ("--assignment", ("bandit", "assignment"), {"type": _csv_ints, "help": "comma-separated arm per index"}),
+        ("--mixture-index", ("bandit", "mixture_index"), {"type": int}),
+    ],
+    "policy": [("--policy", ("policy", "name"), {"help": "policy name; config-file params are dropped if it differs"})],
+    "params": [
+        ("--epsilon", ("policy", "params", "epsilon"), {"type": float}),
+        ("--q", ("policy", "params", "q"), {"type": float}),
+        ("--explore-every", ("policy", "params", "explore_every"), {"type": int}),
+        ("--arm", ("policy", "params", "arm"), {"type": int, "help": "arm for fixed_arm"}),
+        ("--prefix", ("policy", "params", "prefix"), {"type": _csv_ints, "help": "arm prefix for arm_sequence"}),
+        ("--tail-arm", ("policy", "params", "tail_arm"), {"type": int, "help": "tail arm for arm_sequence"}),
+    ],
+    "run": [
+        ("--horizon", ("horizon",), {"type": int}),
+        ("--trials", ("trials",), {"type": int}),
+        ("--mode", ("mode",), {"choices": _MODES}),
+    ],
+    "cap": [
+        ("--cap", ("cap",), {"type": int}),
+        ("--bootstrap", ("bootstrap",), {"type": int}),
+    ],
+    "scan": [
+        ("--horizons", ("horizons",), {"type": _csv_ints}),
+        ("--grid", ("grid",), {"type": int}),
+    ],
+}
+
+# Each subcommand: its help line and the flag groups it takes.
+_COMMANDS = {
+    "simulate": ("estimate or exactly compute a running-minimum curve", ["common", "bandit", "policy", "params", "run"]),
+    "regret": ("time-to-match clock against the single-armed oracle", ["common", "bandit", "policy", "params", "run", "cap"]),
+    "verify": ("run named numerical checks; exit 0 iff all pass", ["common", "policy"]),
+    "construct": ("materialize a hard instance and its horizons", ["common", "bandit"]),
+    "best-arm-scan": ("scan the two-point family for the best commit arm", ["common", "scan"]),
+}
 
 
-def _add_policy(p: argparse.ArgumentParser):
-    p.add_argument("--policy", default=None)
-    p.add_argument("--epsilon", type=float, default=None)
-    p.add_argument("--q", type=float, default=None)
-    p.add_argument("--explore-every", type=int, default=None)
-    p.add_argument("--arm", type=int, default=None, help="arm for fixed_arm")
-    p.add_argument("--prefix", type=_csv_ints, default=None, help="arm prefix for arm_sequence")
-    p.add_argument("--tail-arm", type=int, default=None, help="tail arm for arm_sequence")
+def _flags(command: str):
+    for group in _COMMANDS[command][1]:
+        yield from _FLAGS[group]
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed command line as ConfigInvalid (one line, exit 2)."""
+
+    def error(self, message):
+        raise ConfigInvalid(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="extremebandits", description=__doc__)
+    parser = _Parser(prog="extremebandits", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("simulate", help="estimate or exactly compute a running-minimum curve")
-    _add_common(p)
-    _add_bandit(p)
-    _add_policy(p)
-    p.add_argument("--horizon", type=int, default=None)
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--mode", choices=["exact", "monte_carlo"], default=None)
-
-    p = sub.add_parser("regret", help="time-to-match clock against the single-armed oracle")
-    _add_common(p)
-    _add_bandit(p)
-    _add_policy(p)
-    p.add_argument("--horizon", type=int, default=None)
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--mode", choices=["exact", "monte_carlo"], default=None)
-    p.add_argument("--cap", type=int, default=None)
-    p.add_argument("--bootstrap", type=int, default=None)
-
-    p = sub.add_parser("verify", help="run named numerical checks; exit 0 iff all pass")
-    _add_common(p)
-    p.add_argument("checks", nargs="*", default=["all"], help=f"all or any of: {', '.join(ALL_CHECKS)}")
-    p.add_argument("--policy", default=None, help="baseline policy for the simulation checks")
-
-    p = sub.add_parser("construct", help="materialize a hard instance and its horizons")
-    _add_common(p)
-    _add_bandit(p)
-
-    p = sub.add_parser("best-arm-scan", help="scan the two-point family for the best commit arm")
-    _add_common(p)
-    p.add_argument("--horizons", type=_csv_ints, default=None)
-    p.add_argument("--grid", type=int, default=None)
-
+    for command, (help_text, _) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        p.add_argument("--config", help="JSON config file; explicit flags override its values")
+        if command == "verify":
+            p.add_argument("checks", nargs="*", help=f"all or any of: {', '.join(ALL_CHECKS)}")
+        for flag, _, options in _flags(command):
+            p.add_argument(flag, **options)
     return parser
 
 
@@ -387,89 +400,30 @@ def _merge_config(args: argparse.Namespace) -> dict:
             raise ConfigInvalid(f"config file {args.config} is not JSON: {exc}") from None
         if not isinstance(config, dict):
             raise ConfigInvalid(f"config file {args.config} does not hold a JSON object")
-    command = args.command.replace("-", "_")
-    config["command"] = command
+    config["command"] = args.command.replace("-", "_")
     config.setdefault("seed", 0)
-
-    def put(key, value):
+    policy, name = config.get("policy"), getattr(args, "policy", None)
+    if isinstance(policy, dict) and name not in (None, policy.get("name")):
+        policy.pop("params", None)  # stale params from another policy don't carry over
+    for flag, path, _ in _flags(args.command):
+        value = getattr(args, flag[2:].replace("-", "_"))
         if value is not None:
-            config[key] = value
-
-    put("seed", args.seed)
-    put("out_dir", args.out_dir)
-    put("workers", args.workers)
-
-    if command in ("simulate", "regret", "construct"):
-        bandit = dict(config.get("bandit") or {})
-        if getattr(args, "arms_json", None):
-            try:
-                bandit["arms"] = json.loads(args.arms_json)
-            except ValueError as exc:
-                raise ConfigInvalid(f"--arms-json is not JSON: {exc}") from None
-        for key, flag in [
-            ("preset", "bandit_preset"),
-            ("p", "p"),
-            ("K", "K"),
-            ("depth", "depth"),
-            ("alphas", "alphas"),
-            ("assignment", "assignment"),
-            ("mixture_index", "mixture_index"),
-        ]:
-            val = getattr(args, flag, None)
-            if val is not None:
-                bandit[key] = val
-        if bandit:
-            config["bandit"] = bandit
-
-    if command in ("simulate", "regret"):
-        policy = dict(config.get("policy") or {})
-        params = dict(policy.get("params") or {})
-        if args.policy is not None:
-            if policy.get("name") != args.policy:
-                params = {}  # stale params from another policy don't carry over
-                policy.pop("params", None)
-            policy["name"] = args.policy
-        for key, flag in [
-            ("epsilon", "epsilon"),
-            ("q", "q"),
-            ("explore_every", "explore_every"),
-            ("arm", "arm"),
-            ("prefix", "prefix"),
-            ("tail_arm", "tail_arm"),
-        ]:
-            val = getattr(args, flag, None)
-            if val is not None:
-                params[key] = val
-        if policy or params:
-            policy.setdefault("name", "round_robin")
-            if params:
-                policy["params"] = params
-            config["policy"] = policy
-        put("horizon", args.horizon)
-        put("trials", args.trials)
-        put("mode", args.mode)
-
-    if command == "regret":
-        put("cap", args.cap)
-        put("bootstrap", args.bootstrap)
-
-    if command == "verify":
-        if args.checks != ["all"] or "checks" not in config:
-            config["checks"] = args.checks
-        if args.policy is not None:
-            config["policy"] = {"name": args.policy}
-
-    if command == "best_arm_scan":
-        put("horizons", args.horizons)
-        put("grid", args.grid)
-
+            node = config
+            for key in path[:-1]:
+                if not isinstance(node.get(key), dict):
+                    node[key] = {}
+                node = node[key]
+            node[path[-1]] = value
+    if hasattr(args, "policy") and isinstance(config.get("policy"), dict) and config["policy"]:
+        config["policy"].setdefault("name", "round_robin")
+    if args.command == "verify" and (args.checks or "checks" not in config):
+        config["checks"] = args.checks or ["all"]
     return config
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        config = validate_config(_merge_config(args))
+        config = validate_config(_merge_config(build_parser().parse_args(argv)))
         return _RUNNERS[config["command"]](config)
     except ConfigInvalid as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -432,10 +432,8 @@ def check_corollary9(
     t_eval, c = horizon_Tprime(a.log_alphas[i - 1], i, a.K)
     threshold = 2.0 * a.alphas[i - 1]
     jobs = []
-    bs = []
     for case in range(n_assignments):
-        b, tup = _case_tuple(a, seed, case)
-        bs.append(list(b.values))
+        _, tup = _case_tuple(a, seed, case)
         jobs.append((policy, tup.arms, n_trials, seed, t_eval, case * n_trials))
     estimates = engine.parallel_map(_corollary_case, jobs, workers)
     hits = [est >= threshold for est in estimates]
@@ -548,8 +546,9 @@ def demonstrate_theorem1(
 # Registry used by the CLI.
 
 
-def run_check(check_id: str, seed: int = 0, workers: int | None = None, policy: str = "round_robin") -> list[CheckReport]:
-    pol = baseline(policy)
+def run_check(check_id: str, seed: int = 0, workers: int | None = None, policy: Policy | None = None) -> list[CheckReport]:
+    """Run one named check; corollary9 and theorem1 simulate `policy`
+    (round robin when None)."""
     if check_id == "beta_law":
         return [check_beta_law(horizon=t, seed=seed) for t in (1, 10, 59)]
     if check_id == "lemma5":
@@ -563,9 +562,9 @@ def run_check(check_id: str, seed: int = 0, workers: int | None = None, policy: 
     if check_id == "lemma11":
         return [check_lemma11()]
     if check_id == "corollary9":
-        return [check_corollary9(policy=pol, seed=seed, workers=workers)]
+        return [check_corollary9(policy=policy, seed=seed, workers=workers)]
     if check_id == "theorem1":
-        return [demonstrate_theorem1(policy=pol, seed=seed, workers=workers)]
+        return [demonstrate_theorem1(policy=policy, seed=seed, workers=workers)]
     raise ValueError(f"unknown check id {check_id!r}; known: {', '.join(ALL_CHECKS)}")
 
 

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import extremebandits as xb
-from extremebandits import cli
+from extremebandits import cli, verification
 from extremebandits.reporting import VERSION
 from extremebandits.verification import CheckReport
 
@@ -97,6 +97,13 @@ def test_regret_monte_carlo_bootstrap_frozen_interval(tmp_path):
     assert (rows[0]["ci_low"], rows[0]["ci_high"]) == ("19", "21")
 
 
+def _resolve(tmp_path, file_config, argv):
+    """The validated config that argv resolves to over a config file."""
+    cfg = tmp_path / "resolve.json"
+    cfg.write_text(json.dumps(file_config))
+    return cli.validate_config(cli._merge_config(cli.build_parser().parse_args(argv + ["--config", str(cfg)])))
+
+
 def test_flag_overrides_config_file(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(
@@ -119,6 +126,35 @@ def test_flag_overrides_config_file(tmp_path):
     assert len(rows) == 6  # flag horizon beat the file's 4
     assert "seed=3" in meta  # file seed kept where no flag was given
     assert all(float(r["raw"]) == 1.0 for r in rows)  # fixed arm 2 = sure 1
+    # A flag lands at its config path also where the file holds null there,
+    # and a policy given only by its params runs as round_robin.
+    got = _resolve(tmp_path, {"bandit": None}, ["construct", "--bandit-preset", "two_index"])
+    assert got["bandit"] == {"preset": "two_index"}
+    got = _resolve(tmp_path, {"policy": {"params": {"explore_every": 3}}}, ["simulate", "--q", "0.25"])
+    assert got["policy"] == {"name": "round_robin", "params": {"explore_every": 3, "q": 0.25}}
+    # verify's checks: the file's list unless some are named, "all" included.
+    assert _resolve(tmp_path, {"checks": ["lemma5"]}, ["verify"])["checks"] == ["lemma5"]
+    assert _resolve(tmp_path, {"checks": ["lemma5"]}, ["verify", "all"])["checks"] == ["all"]
+    assert _resolve(tmp_path, {}, ["verify"])["checks"] == ["all"]
+
+
+def test_flag_table_paths_are_schema_properties():
+    for group in cli._FLAGS.values():
+        for flag, path, _ in group:
+            node = cli.CONFIG_SCHEMA
+            for key in path:
+                assert key in node.get("properties", {}) or node.get("additionalProperties", True), flag
+                node = node.get("properties", {}).get(key, {})
+    used = {group for _, groups in cli._COMMANDS.values() for group in groups}
+    assert used == set(cli._FLAGS)
+
+
+@pytest.mark.parametrize("command", [None, *cli._COMMANDS])
+def test_help_exits_0(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--help"] if command else ["--help"])
+    assert exc.value.code == 0
+    assert "usage: extremebandits" in capsys.readouterr().out
 
 
 def test_policy_flag_resets_stale_params(tmp_path):
@@ -145,6 +181,10 @@ def test_policy_flag_resets_stale_params(tmp_path):
     want = [0.5, 0.5, 1 / 3, 1 / 3]
     for row, w in zip(rows, want):
         assert float(row["raw"]) == pytest.approx(w, rel=1e-12)
+    # verify follows the same rule: params stay while the name does.
+    eps = {"policy": {"name": "eps_greedy_min", "params": {"epsilon": 0.7}}}
+    assert _resolve(tmp_path, eps, ["verify", "--policy", "eps_greedy_min"])["policy"] == eps["policy"]
+    assert _resolve(tmp_path, eps, ["verify", "--policy", "round_robin"])["policy"] == {"name": "round_robin"}
 
 
 def test_invalid_config_key_exit_2(tmp_path, capsys):
@@ -179,6 +219,7 @@ BAD_INPUTS = {
     "float_horizon_in_config": [*SIMULATE, "--config", "{tmp}/horizon.json"],
     "missing_config": [*SIMULATE, "--horizon", "5", "--config", "{tmp}/missing.json"],
     "config_not_json": [*SIMULATE, "--horizon", "5", "--config", "{tmp}/broken.json"],
+    "policy_not_object_in_config": [*SIMULATE, "--horizon", "5", "--config", "{tmp}/policy_str.json"],
     "arms_json_not_json": [*SIMULATE, "--horizon", "5", "--arms-json", "[{{"],
     "out_dir_below_file": [*SIMULATE, "--horizon", "5", "--out-dir", "{tmp}/file/out"],
     # Sizes the schema accepts but memory cannot hold (about 7 TiB of doubles).
@@ -186,6 +227,11 @@ BAD_INPUTS = {
     "bootstrap_out_of_memory": [
         "regret", "--bandit-preset", "uniform_vs_sure", "--horizon", "5", "--trials", "3", "--bootstrap", str(10**12)
     ],
+    # Command lines argparse rejects: one line, no usage block.
+    "horizon_not_int": [*SIMULATE, "--horizon", "abc"],
+    "alphas_not_floats": ["construct", "--alphas", "0.1,x"],
+    "unknown_subcommand": ["frobnicate"],
+    "no_subcommand": [],
 }
 
 
@@ -193,10 +239,11 @@ BAD_INPUTS = {
 def test_bad_input_exit_2(case, tmp_path, capsys):
     (tmp_path / "horizon.json").write_text(json.dumps({"horizon": 10.0}))
     (tmp_path / "broken.json").write_text("{not json")
+    (tmp_path / "policy_str.json").write_text(json.dumps({"policy": "abc"}))
     (tmp_path / "file").write_text("")
-    command, *rest = BAD_INPUTS[case]
+    argv = [a.format(tmp=tmp_path) for a in BAD_INPUTS[case]]
     out = tmp_path / "out"
-    rc = cli.main([command, "--out-dir", str(out)] + [a.format(tmp=tmp_path) for a in rest])
+    rc = cli.main(argv[:1] + ["--out-dir", str(out)] + argv[1:])
     err = capsys.readouterr().err
     assert rc == 2
     assert err.count("\n") == 1
@@ -267,6 +314,13 @@ def test_bad_policy_params_exit_2(case, mode, tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def test_malformed_flag_message(capsys):
+    assert cli.main([*SIMULATE, "--horizon", "abc"]) == 2
+    assert capsys.readouterr().err == "config error: argument --horizon: invalid int value: 'abc'\n"
+    assert cli.main(["construct", "--alphas", "0.1,x"]) == 2
+    assert capsys.readouterr().err == "config error: argument --alphas: invalid _csv_floats value: '0.1,x'\n"
+
+
 def test_unknown_check_exit_2(tmp_path, capsys):
     rc = cli.main(["verify", "lemma99", "--seed", "0", "--out-dir", str(tmp_path)])
     assert rc == 2
@@ -284,8 +338,46 @@ def test_verify_pass_and_artifacts(tmp_path, capsys):
     assert all(r["passed"] == "1" for r in rows)
 
 
+def test_verify_uses_config_policy_params(tmp_path, monkeypatch):
+    seen = []
+
+    def fake_corollary9(policy=None, seed=0, workers=None):
+        seen.append(policy)
+        return CheckReport(check_id="corollary9", passed=True, seed=seed)
+
+    monkeypatch.setattr(verification, "check_corollary9", fake_corollary9)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"policy": {"name": "eps_greedy_min", "params": {"epsilon": 0.7}}}))
+    argv = ["verify", "corollary9", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]
+    assert cli.main(argv) == 0
+    assert cli.main(argv + ["--policy", "eps_greedy_min"]) == 0
+    assert [(p.name, p.epsilon) for p in seen] == [("eps_greedy_min", 0.7)] * 2
+
+
+# verify builds its baseline from the config before anything is written.
+BAD_VERIFY_POLICIES = {
+    "not_a_baseline": ({}, ["--policy", "fixed_arm"]),
+    "unknown_name": ({}, ["--policy", "ucb"]),
+    "unknown_param": ({"policy": {"name": "eps_greedy_min", "params": {"bogus": 1}}}, []),
+    "epsilon_string": ({"policy": {"name": "eps_greedy_min", "params": {"epsilon": "0.1"}}}, []),
+}
+
+
+@pytest.mark.parametrize("case", BAD_VERIFY_POLICIES)
+def test_verify_bad_policy_exit_2(case, tmp_path, capsys):
+    file_config, flags = BAD_VERIFY_POLICIES[case]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(file_config))
+    out = tmp_path / "out"
+    rc = cli.main(["verify", "lemma11", "--config", str(cfg), "--out-dir", str(out)] + flags)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: UnknownPolicy: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_verify_failure_exit_1(tmp_path, capsys, monkeypatch):
-    def fake_run_check(check_id, seed=0, workers=None, policy="round_robin"):
+    def fake_run_check(check_id, seed=0, workers=None, policy=None):
         return [CheckReport(check_id=check_id, passed=False, seed=seed)]
 
     monkeypatch.setattr(cli, "run_check", fake_run_check)

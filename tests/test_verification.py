@@ -150,8 +150,9 @@ def test_run_check_registry():
     assert reports5[0].passed
     with pytest.raises(ValueError):
         xb.run_check("lemma99")
+    # run_check takes a built policy; the CLI builds it with baseline.
     with pytest.raises(xb.UnknownPolicy):
-        xb.run_check("lemma11", policy="ucb")
+        xb.baseline("ucb")
     assert set(xb.ALL_CHECKS) == {
         "beta_law",
         "lemma5",
