@@ -32,6 +32,15 @@ NORMALIZATION_TOL = 1e-12
 LOG_ZERO = float("-inf")
 LOG_HALF = math.log(0.5)
 
+# _icdf_index counts instead of bisecting on arrays of at least
+# COUNTED_ICDF_CELLS uniforms over at most COUNTED_ICDF_ATOMS atoms (at most
+# 256, so a count fits in uint8). Measured on 2-CPU Linux with numpy 2.4:
+# counting is faster from about 1,024 uniforms at 2 atoms and 8,192 at 60 to
+# 128 atoms; on 64 x 4096 blocks it is faster up to 128 atoms and slower
+# from about 160.
+COUNTED_ICDF_ATOMS = 128
+COUNTED_ICDF_CELLS = 4096
+
 
 def _exp_diff(log_a: float, log_b: float) -> float:
     """e^log_a - e^log_b for log_a >= log_b, accurate when nearly equal."""
@@ -223,13 +232,36 @@ def icdf_arrays(d: Distribution) -> tuple[np.ndarray, np.ndarray]:
     return support, cum
 
 
+def _icdf_index(cum: np.ndarray, u):
+    """Atom index of each uniform u in [0, 1] under the cumulative masses
+    cum of ``icdf_arrays``: np.searchsorted(cum, u, side="left"), ties with
+    a cum entry included.
+
+    On a large array over few atoms the index is counted instead, as the
+    number of entries of cum[:-1] below u, in uint8; cum[-1] = 1.0 is never
+    below u.
+    """
+    if len(cum) > COUNTED_ICDF_ATOMS or np.size(u) < COUNTED_ICDF_CELLS:
+        return np.searchsorted(cum, u, side="left")
+    u = np.asarray(u)
+    # In u's memory order: a column gather u[:, cols] is F-ordered, and
+    # adding a C-ordered count to it would be a strided loop.
+    idx = np.zeros_like(u, dtype=np.uint8)
+    for c in cum[:-1]:
+        idx += u > c
+    return idx
+
+
 def icdf(d: Distribution, u: np.ndarray | float):
-    """Inverse CDF; boundary ties resolve to the lower-indexed atom."""
+    """Inverse CDF of u in [0, 1]; boundary ties resolve to the
+    lower-indexed atom. Raises OutOfRange for u outside [0, 1] or nan."""
+    checked = np.asarray(u)
+    if not np.all((checked >= 0.0) & (checked <= 1.0)):
+        raise OutOfRange("icdf needs u in [0, 1]")
     if not d.is_discrete:
         return u
     support, cum = icdf_arrays(d)
-    idx = np.searchsorted(cum, u, side="left")
-    return support[idx]
+    return support[_icdf_index(cum, u)]
 
 
 def sample(d: Distribution, r: RngStream) -> float:

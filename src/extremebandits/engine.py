@@ -12,7 +12,12 @@ from zero: ``estimate_min_curve``, ``extreme_regret`` and the early-stopping
 ``stream_curve`` agree bit for bit on the same trials. A kernel owes that
 loop the running minimum, not every cost: the epsilon-greedy kernel steps
 from record to record (draws that beat their arm's best so far) and returns
-only the records' costs, +inf elsewhere. A trial whose minimum has reached
+only the records' costs, +inf elsewhere. It finds each trial's next record
+in a window of the block's columns, which doubles while most trials find
+none there and carries over to the next block. The uniform-random kernel
+fills each arm's cells through their flat indices, and on large blocks over
+few atoms the inverse CDF counts the cumulative masses below u instead of
+bisecting (``distributions._icdf_index``). A trial whose minimum has reached
 the lowest cost any arm can return is finished: its minimum can no longer
 fall, so from the next block on it draws nothing and the loop carries its
 minimum forward. The scripted exact curve is a
@@ -33,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from .distributions import Distribution, expected_min, log_survivals, _check_horizon
+from .distributions import Distribution, expected_min, log_survivals, _check_horizon, _icdf_index
 from .errors import BudgetExceeded, ConfigInvalid, ContinuousArm, UnknownPolicy
 from .policies import (
     EpsGreedyMinPolicy,
@@ -125,7 +130,7 @@ def _icdf_block(cache, u: np.ndarray) -> np.ndarray:
     if cache is None:
         return u
     support, cum = cache
-    return support[np.searchsorted(cum, u, side="left")]
+    return support.take(_icdf_index(cum, u))
 
 
 # ---------------------------------------------------------------------------
@@ -146,6 +151,7 @@ class _KernelBase:
         self.arms = arms
         self.K = len(arms)
         self.n = len(trials)
+        self.code = np.min_scalar_type(self.K - 1)  # smallest type for an arm index
         self.caches = [_icdf_cache(d) for d in arms]
         self.arm_streams = TrialStreams(seed, ARM_LANE, trials)
         self._pol_streams = None
@@ -181,16 +187,19 @@ class _ScriptedKernel(_KernelBase):
 
 class _RandomKernel(_KernelBase):
     def next_block(self, bt, live):
-        u = self.arm_streams.next_block(bt, live)
+        u = self.arm_streams.next_block(bt, live).ravel()
         p = self.pol_block(bt, live)
         self.t0 += bt
-        arm = np.minimum((p * self.K).astype(np.int64), self.K - 1)
+        # min(int(p * K), K - 1), clamped before the cast as in _coins.
+        p *= self.K
+        np.minimum(p, self.K - 1, out=p)
+        arm = p.astype(self.code).ravel()
         v = np.empty_like(u)
         for k in range(self.K):
-            mask = arm == k
-            if np.any(mask):
-                v[mask] = _icdf_block(self.caches[k], u[mask])
-        return v
+            cells = np.flatnonzero(arm == k)
+            if cells.size:
+                v[cells] = _icdf_block(self.caches[k], u.take(cells))
+        return v.reshape(len(live), bt)
 
 
 class _EpsGreedyKernel(_KernelBase):
@@ -201,17 +210,24 @@ class _EpsGreedyKernel(_KernelBase):
     is known ahead: the explored arm on an explore coin, the greedy arm
     otherwise. One round finds the next record of every row still active in
     the block by comparing each cell's uniform with the improvement threshold
-    of its arm. Only record cells are drawn through the inverse CDF; every
-    other cell is +inf, which is allowed because it costs at least its arm's
-    best, hence at least the trial's running minimum. The running minima are
-    bit-identical to stepping one column at a time: the same uniforms, the
-    same inverse CDF, the lowest-index argmin and the same explored-arm
-    truncation.
+    of its arm, over a window of the block's columns only: [lo, lo + window),
+    where lo is the first column some active row has not stepped. A row with
+    no record in the window moves to its end, which skips nothing, since its
+    state changes only at records. The window doubles after a round in which
+    most rows found none, and it carries over to the next block, so it
+    follows the record rate the kernel has seen. Only record cells are drawn
+    through the inverse CDF; every other cell is +inf, which is allowed
+    because it costs at least its arm's best, hence at least the trial's
+    running minimum. The running minima are bit-identical to stepping one
+    column at a time: the same uniforms, the same inverse CDF, the
+    lowest-index argmin and the same explored-arm truncation.
     """
+
+    first_window = 64  # columns scanned per round in the first block
 
     def __init__(self, policy, arms, seed, trials):
         super().__init__(policy, arms, seed, trials)
-        self.code = np.min_scalar_type(self.K - 1)  # smallest type for an arm index
+        self.window = self.first_window  # only grows
         self.bests = np.full((self.n, self.K), math.inf)
         self.greedy = np.zeros(self.n, dtype=self.code)
         # floors[j] is the largest u whose inverse CDF falls below atom j.
@@ -246,44 +262,48 @@ class _EpsGreedyKernel(_KernelBase):
         return explore, p.astype(self.code)
 
     def _records(self, u, explore, explore_arm, live):
-        """Step through the block's records, updating bests, thr and greedy,
-        and return the block with each record's cost and +inf elsewhere.
+        """Step through the block's records, updating bests, thr, greedy and
+        window, and return the block with each record's cost and +inf
+        elsewhere.
 
         u, explore, explore_arm and the returned block hold the live rows
         only: ``at`` indexes them, and ``live[at]`` the kernel's state."""
         n, bt = u.shape
         v = np.full((n, bt), math.inf)
-        cols = np.arange(bt)
+        if explore is not None:  # which cells play the greedy arm, which arm k
+            greedy_cell = ~explore
+            explored = [explore & (explore_arm == k) for k in range(self.K)]
         at = np.arange(n)
         pos = np.zeros(n, dtype=np.intp)  # first column not yet stepped
-        while at.size:  # one round per record of the busiest row
+        while at.size:  # one round per window
             lo = int(pos.min())
+            hi = min(lo + self.window, bt)
             rows = live[at]
             g = self.greedy[rows]
             sub = slice(None) if at.size == n else at  # views, not copies
-            uu = u[sub, lo:]
-            if explore is None:
-                hit = uu <= self.thr[rows, g][:, None]
-            else:
-                played = np.where(explore[sub, lo:], explore_arm[sub, lo:], g[:, None])
-                hit = np.zeros(uu.shape, dtype=bool)
+            uu = u[sub, lo:hi]
+            hit = uu <= self.thr[rows, g][:, None]
+            if explore is not None:
+                hit &= greedy_cell[sub, lo:hi]
                 for k in range(self.K):
-                    hit |= (played == k) & (uu <= self.thr[rows, k][:, None])
+                    hit |= explored[k][sub, lo:hi] & (uu <= self.thr[rows, k][:, None])
             if pos.max() > lo:
-                hit &= cols[lo:] >= pos[:, None]
+                hit &= np.arange(lo, hi) >= pos[:, None]
             first = hit.argmax(axis=1)
             found = np.nonzero(hit[np.arange(at.size), first])[0]
-            first = first[found]
-            a = g[found] if explore is None else played[found, first]
-            at, rows, c = at[found], rows[found], lo + first
+            if 2 * found.size < at.size and self.window < bt:
+                self.window *= 2
+            pos[:] = hi  # a row without a record in the window skips to its end
+            i, r, c = at[found], rows[found], lo + first[found]
+            a = g[found] if explore is None else np.where(explore[i, c], explore_arm[i, c], g[found])
             for k in range(self.K):
                 sel = a == k
-                i, r, ck = at[sel], rows[sel], c[sel]
-                if r.size:
-                    v[i, ck] = self.bests[r, k] = _icdf_block(self.caches[k], u[i, ck])
-                    self.thr[r, k] = self._threshold(k, self.bests[r, k])
-            self.greedy[rows] = np.argmin(self.bests[rows], axis=1)
-            pos = c + 1
+                ik, rk, ck = i[sel], r[sel], c[sel]
+                if rk.size:
+                    v[ik, ck] = self.bests[rk, k] = _icdf_block(self.caches[k], u[ik, ck])
+                    self.thr[rk, k] = self._threshold(k, self.bests[rk, k])
+            self.greedy[r] = np.argmin(self.bests[r], axis=1)
+            pos[found] = c + 1
             keep = pos < bt
             at, pos = at[keep], pos[keep]
         return v
@@ -314,7 +334,7 @@ class _QuantileKernel(_KernelBase):
     def next_block(self, bt, live):
         every = self.policy.explore_every
         u = self.arm_streams.next_block(bt, live)
-        lidx = np.stack([np.searchsorted(c[1], u, side="left") for c in self.caches])
+        lidx = np.stack([_icdf_index(c[1], u) for c in self.caches])
         at = np.arange(len(live))
         v = np.empty_like(u)
         for c in range(bt):

@@ -25,6 +25,7 @@ from .distributions import (
     expected_min_capped,
     icdf_arrays,
     _check_horizon,
+    _icdf_index,
 )
 from .errors import BudgetExceeded, ContinuousArm, PropertyViolation
 from .policies import _lowest_argmin
@@ -176,10 +177,9 @@ def _greedy_monte_carlo(arms, horizon, n_trials, seed) -> float:
             arm_of = choices[state]
             new_idx = np.empty(n_trials, dtype=np.intp)
             for k in range(len(arms)):
-                mask = arm_of == k + 1
-                if np.any(mask):
-                    local = np.searchsorted(cums[k], u[mask], side="left")
-                    new_idx[mask] = glob[k][local]
+                rows = np.flatnonzero(arm_of == k + 1)
+                if rows.size:
+                    new_idx[rows] = glob[k][_icdf_index(cums[k], u.take(rows))]
             np.minimum(state, new_idx, out=state)
     return float(support[state].mean())
 

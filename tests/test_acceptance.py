@@ -7,7 +7,6 @@ readable at a glance even inside a larger suite.
 
 import json
 import math
-import os
 import subprocess
 import sys
 import time
@@ -180,9 +179,8 @@ def test_11_hard_instance_slowdown(criterion):
         assert time.perf_counter() - start < 900.0
 
 
-def _run_cli(args, out_dir, workers):
-    env = dict(os.environ)
-    env["EXTREMEBANDITS_WORKERS"] = str(workers)
+def _run_cli(args, out_dir, env, workers):
+    env = {**env, "EXTREMEBANDITS_WORKERS": str(workers)}
     proc = subprocess.run(
         [sys.executable, "-m", "extremebandits.cli", *args, "--out-dir", str(out_dir)],
         capture_output=True,
@@ -200,7 +198,7 @@ def _assert_dirs_byte_identical(a, b):
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
-def test_12_worker_count_invisible_in_artifacts(criterion, tmp_path):
+def test_12_worker_count_invisible_in_artifacts(criterion, tmp_path, cli_env):
     with criterion(12, "worker_count_invisible_in_artifacts"):
         simulate = [
             "simulate",
@@ -239,8 +237,8 @@ def test_12_worker_count_invisible_in_artifacts(criterion, tmp_path):
         for label, args in (("sim", simulate), ("reg", regret)):
             d1 = tmp_path / f"{label}_w1"
             d8 = tmp_path / f"{label}_w8"
-            _run_cli(args, d1, workers=1)
-            _run_cli(args, d8, workers=8)
+            _run_cli(args, d1, cli_env, workers=1)
+            _run_cli(args, d8, cli_env, workers=8)
             _assert_dirs_byte_identical(d1, d8)
         # The stored config names the experiment, not the execution.
         payload = json.loads((tmp_path / "sim_w1" / "config.json").read_text())

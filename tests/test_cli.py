@@ -484,7 +484,7 @@ def test_arms_json_flag(tmp_path):
     assert all(float(r["raw"]) == 0.5 for r in rows)
 
 
-def test_module_entrypoint(tmp_path):
+def test_module_entrypoint(tmp_path, cli_env):
     proc = subprocess.run(
         [
             sys.executable,
@@ -508,6 +508,7 @@ def test_module_entrypoint(tmp_path):
         ],
         capture_output=True,
         text=True,
+        env=cli_env,
     )
     assert proc.returncode == 0, proc.stderr
     assert "simulate: policy=fixed_arm" in proc.stdout

@@ -9,7 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import extremebandits as xb
-from extremebandits.distributions import log_survival_at, log_survivals
+from extremebandits.distributions import (
+    COUNTED_ICDF_ATOMS,
+    COUNTED_ICDF_CELLS,
+    _icdf_index,
+    icdf_arrays,
+    log_survival_at,
+    log_survivals,
+)
 
 # ---------------------------------------------------------------------------
 # Independent oracles.
@@ -164,6 +171,15 @@ def test_icdf_tie_goes_to_lower_atom():
     assert list(out) == [0.0, 0.0, 1.0]
 
 
+@pytest.mark.parametrize("bad", [-0.1, 1.5, math.nan])
+@pytest.mark.parametrize("d", [xb.make_discrete([(0.0, 0.25), (1.0, 0.75)]), xb.uniform01()], ids=["discrete", "uniform01"])
+def test_icdf_rejects_u_outside_unit_interval(d, bad):
+    # A short array is bisected and a long one counted: both refuse.
+    for u in (bad, np.array([0.5, bad]), np.full(COUNTED_ICDF_CELLS, bad)):
+        with pytest.raises(xb.OutOfRange):
+            xb.icdf(d, u)
+
+
 def test_sample_equals_icdf_of_addressed_uniform():
     d = xb.make_discrete([(0.1, 0.2), (0.4, 0.3), (0.9, 0.5)])
     for t in range(1, 30):
@@ -245,3 +261,36 @@ def test_capped_expectation_bounds(atoms, cap):
     d = xb.make_discrete(_normalize(atoms))
     v = xb.expected_min_capped(d, cap)
     assert -1e-12 <= v <= min(cap, d.mean()) + 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    m=st.one_of(st.sampled_from([1, 2, COUNTED_ICDF_ATOMS, COUNTED_ICDF_ATOMS + 1]), st.integers(1, COUNTED_ICDF_ATOMS + 40)),
+    weights_seed=st.integers(0, 2**32 - 1),
+    underflow=st.integers(-1, COUNTED_ICDF_ATOMS + 40),
+    extra=st.lists(st.floats(min_value=0.0, max_value=1.0, exclude_max=True), max_size=20),
+)
+def test_icdf_index_is_searchsorted_left(m, weights_seed, underflow, extra):
+    # Log masses from random weights. With underflow in range, that atom's
+    # mass is e^-800, 0.0 in double: its cum entry ties with the one before
+    # (or is 0.0 for the first atom).
+    w = np.random.default_rng(weights_seed).random(m) + 0.01
+    tiny = 0 <= underflow < m and m > 1
+    if tiny:
+        w[underflow] = 0.0
+    with np.errstate(divide="ignore"):
+        logs = np.log(w / w.sum())
+    logs[logs == -math.inf] = -800.0
+    d = xb.make_discrete_from_logs(list(zip(np.linspace(0.0, 1.0, m).tolist(), logs.tolist())))
+    _, cum = icdf_arrays(d)
+    if tiny and underflow < m - 1:
+        assert cum[underflow] == (cum[underflow - 1] if underflow else 0.0)
+    # Every cum entry and its neighbours, 0.0 and the largest double below 1.
+    candidates = np.concatenate((cum, np.nextafter(cum, 0.0), np.nextafter(cum, 2.0), [0.0, np.nextafter(1.0, 0.0)], extra))
+    u = candidates[candidates < 1.0]
+    want = np.searchsorted(cum, u, side="left")
+    assert np.array_equal(_icdf_index(cum, u), want)  # a short array
+    wide = np.tile(u, -(-COUNTED_ICDF_CELLS // len(u)))
+    got = _icdf_index(cum, wide)
+    assert got.dtype == (np.uint8 if m <= COUNTED_ICDF_ATOMS else np.intp)
+    assert np.array_equal(got, np.tile(want, len(wide) // len(u)))

@@ -8,7 +8,7 @@ import pytest
 import extremebandits as xb
 from extremebandits import engine
 from extremebandits.engine import BLOCK_STEPS, CHUNK_TRIALS
-from extremebandits.distributions import log_survival_at
+from extremebandits.distributions import COUNTED_ICDF_ATOMS, log_survival_at
 from extremebandits.errors import ConfigInvalid
 from extremebandits.rng import BOOT_LANE, POLICY_LANE, TrialStreams, generator_for
 
@@ -384,6 +384,76 @@ def _random_arm(rng, m):
 _ATOMS_RNG = np.random.default_rng(3)
 SIXTY_ATOMS = (_random_arm(_ATOMS_RNG, 60), _random_arm(_ATOMS_RNG, 60))
 UNIFORM_MIX3 = (xb.make_discrete([(0.1, 0.01), (0.6, 0.99)]), xb.uniform01(), xb.uniform01())
+EIGHT_UNIFORM = (xb.uniform01(),) * 8
+PAST_COUNTING = (_random_arm(_ATOMS_RNG, COUNTED_ICDF_ATOMS + 8), xb.make_discrete([(0.1, 0.01), (0.6, 0.99)]))
+WIDE_ARM_SETS = {"eight_uniform": EIGHT_UNIFORM, "sixty_atoms": SIXTY_ATOMS, "past_counting": PAST_COUNTING}
+WIDE_POLICIES = [
+    xb.UniformRandomPolicy(),
+    xb.EpsGreedyMinPolicy(epsilon=0.3),
+    xb.EpsGreedyMinPolicy(epsilon=1.0),
+    xb.RoundRobinPolicy(),
+    xb.QuantileThresholdPolicy(q=0.25, explore_every=4),
+]
+
+
+@pytest.mark.parametrize("arms", WIDE_ARM_SETS.values(), ids=WIDE_ARM_SETS)
+@pytest.mark.parametrize("policy", WIDE_POLICIES, ids=lambda p: f"{p.name}-{p.to_record()['params']}")
+def test_kernels_match_sequential_on_wide_arm_sets(policy, arms):
+    # 64 trials x 200 steps: each of the two sixty-atom arms gets more than
+    # COUNTED_ICDF_CELLS cells of a block in the random, scripted and
+    # quantile kernels, so their inverse CDF counts; the arm past
+    # COUNTED_ICDF_ATOMS bisects.
+    _assert_matches_reference_per_trial(policy, arms, 200, CHUNK_TRIALS, 41)
+
+
+def _replayed_windows(window, records):
+    """Rounds (lo, hi, record columns) of the windowed record scan over one
+    block whose record cells are ``records``, and the window after it."""
+    n, bt = records.shape
+    pos = np.zeros(n, dtype=np.intp)
+    active = np.arange(n)
+    rounds = []
+    while active.size:
+        lo = int(pos[active].min())
+        hi = min(lo + window, bt)
+        found = []
+        for i in active:
+            cols = np.flatnonzero(records[i, pos[i] : hi]) + pos[i]
+            pos[i] = cols[0] + 1 if cols.size else hi
+            found += cols[:1].tolist()
+        rounds.append((lo, hi, found))
+        if 2 * len(found) < active.size and window < bt:
+            window *= 2
+        active = active[pos[active] < bt]
+    return rounds, window
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 0.1, 1.0])
+def test_eps_greedy_record_windows_in_short_blocks(epsilon, monkeypatch):
+    # 64-step blocks scanned from 8-column windows: the window grows to the
+    # block's end, and records land on a window's last column. The finite
+    # cells of a block the kernel returns are its records, from which the
+    # rounds are replayed.
+    monkeypatch.setattr(engine, "BLOCK_STEPS", 64)
+    monkeypatch.setattr(engine._EpsGreedyKernel, "first_window", 8)
+    blocks = []
+    records = engine._EpsGreedyKernel._records
+
+    def spy(self, *args):
+        window = self.window
+        v = records(self, *args)
+        blocks.append((window, self.window, np.isfinite(v)))
+        return v
+
+    monkeypatch.setattr(engine._EpsGreedyKernel, "_records", spy)
+    _assert_matches_reference_per_trial(xb.EpsGreedyMinPolicy(epsilon=epsilon), GRADED, 8 * 64 + 7, CHUNK_TRIALS + 6, 40)
+    on_last_column = grew_to_end = False
+    for before, after, recs in blocks:
+        rounds, window = _replayed_windows(before, recs)
+        assert window == after
+        on_last_column |= any(hi - 1 in found for _, hi, found in rounds)
+        grew_to_end |= before < after == recs.shape[1]
+    assert on_last_column and grew_to_end
 
 
 def _desk_arms():
